@@ -17,7 +17,7 @@
 //! operator used by `restrict` and the netlist builders.
 
 use crate::edge::Edge;
-use crate::manager::Bbdd;
+use crate::manager::{Bbdd, Call, NodeSpace};
 use ddcore::boolop::{BoolOp, Unary};
 use ddcore::govern::{OpAbort, OpBudget};
 use ddcore::optag;
@@ -58,7 +58,7 @@ impl Bbdd {
         g: Edge,
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
-        self.apply_rec(op, f, g, budget)
+        apply_rec(self, op, f, g, budget)
     }
 
     /// `f ∧ g`.
@@ -96,92 +96,6 @@ impl Bbdd {
         self.apply(BoolOp::IMPLIES, f, g)
     }
 
-    fn unary(&self, u: Unary, x: Edge) -> Edge {
-        match u {
-            Unary::Zero => Edge::ZERO,
-            Unary::One => Edge::ONE,
-            Unary::Identity => x,
-            Unary::Complement => !x,
-        }
-    }
-
-    pub(crate) fn apply_rec(
-        &mut self,
-        mut op: BoolOp,
-        mut f: Edge,
-        mut g: Edge,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.stats.apply_calls += 1;
-        // (α) terminal cases — the identical/trivial operation list.
-        if f == g {
-            return Ok(self.unary(op.on_equal_operands(), f));
-        }
-        if f == !g {
-            return Ok(self.unary(op.on_complement_operands(), f));
-        }
-        if f.is_constant() {
-            return Ok(self.unary(op.on_first_const(f == Edge::ONE), g));
-        }
-        if g.is_constant() {
-            return Ok(self.unary(op.on_second_const(g == Edge::ONE), f));
-        }
-        // Strong canonical operand form: fold complement attributes and
-        // operand order into the operator (the paper's `updateop`).
-        if f.is_complemented() {
-            f = !f;
-            op = op.complement_first();
-        }
-        if g.is_complemented() {
-            g = !g;
-            op = op.complement_second();
-        }
-        if f.node() > g.node() {
-            std::mem::swap(&mut f, &mut g);
-            op = op.swap_operands();
-        }
-        let mut out_c = false;
-        if op.eval(false, false) {
-            op = op.complement_output();
-            out_c = true;
-        }
-        // Operators that degenerated to projections under the rewrites.
-        if op == BoolOp::FALSE {
-            return Ok(Edge::ZERO.complement_if(out_c));
-        }
-        if op == BoolOp::FIRST {
-            return Ok(f.complement_if(out_c));
-        }
-        if op == BoolOp::SECOND {
-            return Ok(g.complement_if(out_c));
-        }
-
-        // (β) computed table.
-        let (k1, k2, tag) = (f.bits() as u64, g.bits() as u64, op.table() as u32);
-        if let Some(r) = self.cache.get(k1, k2, tag) {
-            return Ok(Edge::from_bits(r as u32).complement_if(out_c));
-        }
-
-        // Budget checkpoint at the cache-miss boundary: this frame is
-        // about to materialize at most one new node. Aborting here leaves
-        // only fully-committed nodes behind (the cache insert below runs
-        // strictly after a successful make_node), so the manager stays
-        // consistent.
-        budget.checkpoint()?;
-
-        // (γ) recurse on the biconditional expansion at the top level.
-        let lf = self.node(f.node()).level();
-        let lg = self.node(g.node()).level();
-        let i = lf.max(lg);
-        let (fd, fe) = self.cofactors(f, i);
-        let (gd, ge) = self.cofactors(g, i);
-        let e = self.apply_rec(op, fe, ge, budget)?;
-        let d = self.apply_rec(op, fd, gd, budget)?;
-        let r = self.make_node(i, d, e);
-        self.cache.insert(k1, k2, tag, r.bits() as u64);
-        Ok(r.complement_if(out_c))
-    }
-
     /// If-then-else: `(f ∧ g) ∨ (¬f ∧ h)`, computed with its own recursion
     /// and computed-table entries.
     ///
@@ -210,78 +124,168 @@ impl Bbdd {
         h: Edge,
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
-        self.ite_rec(f, g, h, budget)
+        ite_rec(self, f, g, h, budget)
+    }
+}
+
+/// The edge a trivial-operation list entry denotes for operand `x`.
+pub(crate) fn unary(u: Unary, x: Edge) -> Edge {
+    match u {
+        Unary::Zero => Edge::ZERO,
+        Unary::One => Edge::ONE,
+        Unary::Identity => x,
+        Unary::Complement => !x,
+    }
+}
+
+/// Algorithm 1 over any [`NodeSpace`]: the sequential manager and the
+/// parallel workers run this same recursion.
+pub(crate) fn apply_rec<S: NodeSpace>(
+    s: &mut S,
+    mut op: BoolOp,
+    mut f: Edge,
+    mut g: Edge,
+    budget: &mut OpBudget,
+) -> Result<Edge, OpAbort> {
+    s.count(Call::Apply);
+    // (α) terminal cases — the identical/trivial operation list.
+    if f == g {
+        return Ok(unary(op.on_equal_operands(), f));
+    }
+    if f == !g {
+        return Ok(unary(op.on_complement_operands(), f));
+    }
+    if f.is_constant() {
+        return Ok(unary(op.on_first_const(f == Edge::ONE), g));
+    }
+    if g.is_constant() {
+        return Ok(unary(op.on_second_const(g == Edge::ONE), f));
+    }
+    // Strong canonical operand form: fold complement attributes and
+    // operand order into the operator (the paper's `updateop`).
+    if f.is_complemented() {
+        f = !f;
+        op = op.complement_first();
+    }
+    if g.is_complemented() {
+        g = !g;
+        op = op.complement_second();
+    }
+    if f.node() > g.node() {
+        std::mem::swap(&mut f, &mut g);
+        op = op.swap_operands();
+    }
+    let mut out_c = false;
+    if op.eval(false, false) {
+        op = op.complement_output();
+        out_c = true;
+    }
+    // Operators that degenerated to projections under the rewrites.
+    if op == BoolOp::FALSE {
+        return Ok(Edge::ZERO.complement_if(out_c));
+    }
+    if op == BoolOp::FIRST {
+        return Ok(f.complement_if(out_c));
+    }
+    if op == BoolOp::SECOND {
+        return Ok(g.complement_if(out_c));
     }
 
-    pub(crate) fn ite_rec(
-        &mut self,
-        mut f: Edge,
-        mut g: Edge,
-        mut h: Edge,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.stats.ite_calls += 1;
-        // Terminal and two-operand degenerations.
-        if f == Edge::ONE {
-            return Ok(g);
-        }
-        if f == Edge::ZERO {
-            return Ok(h);
-        }
-        if g == h {
-            return Ok(g);
-        }
-        if g == Edge::ONE && h == Edge::ZERO {
-            return Ok(f);
-        }
-        if g == Edge::ZERO && h == Edge::ONE {
-            return Ok(!f);
-        }
-        if f == g || g == Edge::ONE {
-            return self.apply_rec(BoolOp::OR, f, h, budget);
-        }
-        if f == !g || g == Edge::ZERO {
-            return self.apply_rec(BoolOp::NOT_AND, f, h, budget);
-        }
-        if f == h || h == Edge::ZERO {
-            return self.apply_rec(BoolOp::AND, f, g, budget);
-        }
-        if f == !h || h == Edge::ONE {
-            return self.apply_rec(BoolOp::IMPLIES, f, g, budget);
-        }
-        // Canonical form: regular f (swap branches), regular g (complement
-        // the output).
-        if f.is_complemented() {
-            f = !f;
-            std::mem::swap(&mut g, &mut h);
-        }
-        let mut out_c = false;
-        if g.is_complemented() {
-            g = !g;
-            h = !h;
-            out_c = true;
-        }
-        let k1 = f.bits() as u64;
-        let k2 = ((g.bits() as u64) << 32) | h.bits() as u64;
-        if let Some(r) = self.cache.get(k1, k2, TAG_ITE) {
-            return Ok(Edge::from_bits(r as u32).complement_if(out_c));
-        }
-        budget.checkpoint()?;
-        let mut i = self.node(f.node()).level();
-        for e in [g, h] {
-            if let Some(l) = self.edge_level(e) {
-                i = i.max(l);
-            }
-        }
-        let (fd, fe) = self.cofactors(f, i);
-        let (gd, ge) = self.cofactors(g, i);
-        let (hd, he) = self.cofactors(h, i);
-        let e = self.ite_rec(fe, ge, he, budget)?;
-        let d = self.ite_rec(fd, gd, hd, budget)?;
-        let r = self.make_node(i, d, e);
-        self.cache.insert(k1, k2, TAG_ITE, r.bits() as u64);
-        Ok(r.complement_if(out_c))
+    // (β) computed table.
+    let (k1, k2, tag) = (f.bits() as u64, g.bits() as u64, op.table() as u32);
+    if let Some(r) = s.cache_get(k1, k2, tag) {
+        return Ok(r.complement_if(out_c));
     }
+
+    // Budget checkpoint at the cache-miss boundary: this frame is
+    // about to materialize at most one new node. Aborting here leaves
+    // only fully-committed nodes behind (the cache insert below runs
+    // strictly after a successful make_node), so the manager stays
+    // consistent.
+    budget.checkpoint()?;
+
+    // (γ) recurse on the biconditional expansion at the top level.
+    let lf = s.decode(f.node()).level();
+    let lg = s.decode(g.node()).level();
+    let i = lf.max(lg);
+    let (fd, fe) = s.cofactors(f, i);
+    let (gd, ge) = s.cofactors(g, i);
+    let e = apply_rec(s, op, fe, ge, budget)?;
+    let d = apply_rec(s, op, fd, gd, budget)?;
+    let r = s.make_node(i, d, e);
+    s.cache_insert(k1, k2, tag, r);
+    Ok(r.complement_if(out_c))
+}
+
+/// If-then-else over any [`NodeSpace`].
+pub(crate) fn ite_rec<S: NodeSpace>(
+    s: &mut S,
+    mut f: Edge,
+    mut g: Edge,
+    mut h: Edge,
+    budget: &mut OpBudget,
+) -> Result<Edge, OpAbort> {
+    s.count(Call::Ite);
+    // Terminal and two-operand degenerations.
+    if f == Edge::ONE {
+        return Ok(g);
+    }
+    if f == Edge::ZERO {
+        return Ok(h);
+    }
+    if g == h {
+        return Ok(g);
+    }
+    if g == Edge::ONE && h == Edge::ZERO {
+        return Ok(f);
+    }
+    if g == Edge::ZERO && h == Edge::ONE {
+        return Ok(!f);
+    }
+    if f == g || g == Edge::ONE {
+        return apply_rec(s, BoolOp::OR, f, h, budget);
+    }
+    if f == !g || g == Edge::ZERO {
+        return apply_rec(s, BoolOp::NOT_AND, f, h, budget);
+    }
+    if f == h || h == Edge::ZERO {
+        return apply_rec(s, BoolOp::AND, f, g, budget);
+    }
+    if f == !h || h == Edge::ONE {
+        return apply_rec(s, BoolOp::IMPLIES, f, g, budget);
+    }
+    // Canonical form: regular f (swap branches), regular g (complement
+    // the output).
+    if f.is_complemented() {
+        f = !f;
+        std::mem::swap(&mut g, &mut h);
+    }
+    let mut out_c = false;
+    if g.is_complemented() {
+        g = !g;
+        h = !h;
+        out_c = true;
+    }
+    let k1 = f.bits() as u64;
+    let k2 = ((g.bits() as u64) << 32) | h.bits() as u64;
+    if let Some(r) = s.cache_get(k1, k2, TAG_ITE) {
+        return Ok(r.complement_if(out_c));
+    }
+    budget.checkpoint()?;
+    let mut i = s.decode(f.node()).level();
+    for e in [g, h] {
+        if let Some(l) = s.edge_level(e) {
+            i = i.max(l);
+        }
+    }
+    let (fd, fe) = s.cofactors(f, i);
+    let (gd, ge) = s.cofactors(g, i);
+    let (hd, he) = s.cofactors(h, i);
+    let e = ite_rec(s, fe, ge, he, budget)?;
+    let d = ite_rec(s, fd, gd, hd, budget)?;
+    let r = s.make_node(i, d, e);
+    s.cache_insert(k1, k2, TAG_ITE, r);
+    Ok(r.complement_if(out_c))
 }
 
 #[cfg(test)]

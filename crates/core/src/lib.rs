@@ -69,7 +69,6 @@ mod ops;
 mod par;
 mod quant;
 mod reorder;
-mod serialize;
 mod swap;
 
 pub mod dot;
@@ -83,4 +82,3 @@ pub use edge::Edge;
 pub use manager::{Bbdd, BbddStats, NodeInfo};
 pub use par::{ParBbdd, ParConfig, ParStats};
 pub use reorder::SiftConfig;
-pub use serialize::{LoadError, SaveError};

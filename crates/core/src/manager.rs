@@ -376,17 +376,6 @@ impl Bbdd {
         &self.nodes[idx as usize]
     }
 
-    /// Is `e` a constant or an edge to a currently stored (never freed or
-    /// out-of-range) node? Used by fallible exporters to reject stale
-    /// edges instead of silently serializing garbage.
-    pub(crate) fn edge_is_stored(&self, e: Edge) -> bool {
-        if e.is_constant() {
-            return true;
-        }
-        let id = e.node() as usize;
-        id < self.nodes.len() && !self.nodes[id].is_free()
-    }
-
     /// Take a reusable slot from the free list (used by swap commits).
     pub(crate) fn pop_free(&mut self) -> Option<u32> {
         self.free.pop()
@@ -466,132 +455,6 @@ impl Bbdd {
         let (live, created) = (self.live_nodes(), self.stats.nodes_created);
         self.dvo.note_reorder(live, created);
         res.map(|_| true)
-    }
-
-    /// Bottom-based level of the node an edge points to (`-1`-like sentinel
-    /// `i32::MIN` is avoided by returning `None` for constants).
-    #[inline]
-    pub(crate) fn edge_level(&self, e: Edge) -> Option<u16> {
-        if e.is_constant() {
-            None
-        } else {
-            Some(self.node(e.node()).level())
-        }
-    }
-
-    /// The Shannon (R4) node of the given level — the positive literal of
-    /// that level's PV.
-    pub(crate) fn shannon_node(&mut self, level: u16) -> Edge {
-        let key = NodeKey::new(true, Edge::ZERO, Edge::ONE);
-        Edge::new(self.find_or_insert(level, key), false)
-    }
-
-    /// The positive literal of the level *below* `level` — `Edge::ONE` for
-    /// the fictitious `SV = 1` of the bottom level.
-    pub(crate) fn lit_below(&mut self, level: u16) -> Edge {
-        if level == 0 {
-            Edge::ONE
-        } else {
-            self.shannon_node(level - 1)
-        }
-    }
-
-    /// Is `e` exactly the regular positive literal of the level below
-    /// `level`? (The R4 detection pattern; no node is created.)
-    fn is_lit_below(&self, e: Edge, level: u16) -> bool {
-        if e.is_complemented() {
-            return false;
-        }
-        if level == 0 {
-            return e == Edge::ONE;
-        }
-        if e.is_constant() {
-            return false;
-        }
-        let n = self.node(e.node());
-        n.is_shannon() && n.level() == level - 1
-    }
-
-    /// Find-or-create the biconditional node `(level, neq, eq)` applying
-    /// reduction rules R2 (identical children) and R4 (single-variable
-    /// degeneration) and the complement-attribute normalization (regular
-    /// =-edge).
-    pub(crate) fn make_node(&mut self, level: u16, mut neq: Edge, mut eq: Edge) -> Edge {
-        if neq == eq {
-            return eq; // R2
-        }
-        let mut out_c = false;
-        if eq.is_complemented() {
-            neq = !neq;
-            eq = !eq;
-            out_c = true;
-        }
-        // R4: (v ⊕ w)·w' + (v ⊙ w)·w  ≡  the literal v.
-        if neq == !eq && self.is_lit_below(eq, level) {
-            return self.shannon_node(level).complement_if(out_c);
-        }
-        debug_assert!(self.child_level_ok(neq, level) && self.child_level_ok(eq, level));
-        let key = NodeKey::new(false, neq, eq);
-        Edge::new(self.find_or_insert(level, key), out_c)
-    }
-
-    fn child_level_ok(&self, child: Edge, level: u16) -> bool {
-        match self.edge_level(child) {
-            None => true,
-            Some(l) => l < level,
-        }
-    }
-
-    fn find_or_insert(&mut self, level: u16, key: NodeKey) -> u32 {
-        let nodes = &mut self.nodes;
-        let free = &mut self.free;
-        let mut created = false;
-        let id = self.subtables[level as usize].get_or_insert_with(key, || {
-            created = true;
-            let node = Node::new(level, key.shannon(), key.neq(), key.eq());
-            match free.pop() {
-                Some(id) => {
-                    nodes[id as usize] = node;
-                    id
-                }
-                None => {
-                    nodes.push(node);
-                    (nodes.len() - 1) as u32
-                }
-            }
-        });
-        if created {
-            self.stats.nodes_created += 1;
-            let live = self.live_nodes();
-            if live > self.stats.peak_live_nodes {
-                self.stats.peak_live_nodes = live;
-            }
-            self.note_growth(live);
-        }
-        id
-    }
-
-    /// Biconditional cofactors `(f_{v≠w}, f_{v=w})` of `e` with respect to
-    /// the (PV, SV) pair of `level`. `level` must be at or above the edge's
-    /// top node. Single-variable (Shannon) operands are expanded on the fly
-    /// — the lazy equivalent of Algorithm 1's `chain-transform`.
-    pub(crate) fn cofactors(&mut self, e: Edge, level: u16) -> (Edge, Edge) {
-        if e.is_constant() {
-            return (e, e);
-        }
-        let n = *self.node(e.node());
-        if n.level() < level {
-            return (e, e);
-        }
-        debug_assert_eq!(n.level(), level, "cofactor below the node's own level");
-        let c = e.is_complemented();
-        if n.is_shannon() {
-            // f = v:  f_{v≠w} = w',  f_{v=w} = w.
-            let lw = self.lit_below(level);
-            ((!lw).complement_if(c), lw.complement_if(c))
-        } else {
-            (n.neq().complement_if(c), n.eq().complement_if(c))
-        }
     }
 
     /// The external-root registry shared with every [`crate::BbddFn`]
@@ -816,6 +679,198 @@ impl Bbdd {
             }
         }
         Ok(())
+    }
+}
+
+/// Which recursion a [`NodeSpace::count`] call reports.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Call {
+    Apply,
+    Ite,
+    Quant,
+}
+
+/// A node space the package's recursions run in. The node algebra below
+/// (`make_node` with rules R2/R4, the biconditional `cofactors`) and the
+/// recursions (`apply_rec`, `ite_rec`, `quant_rec`, `and_exists_rec`) are
+/// written once, generic over this trait. It has two implementations:
+///
+/// * [`Bbdd`] itself: the arena, the per-level unique tables, the
+///   computed cache and the manager's statistics;
+/// * the per-task worker of [`crate::ParBbdd`]: the frozen base manager
+///   read through `peek`, plus the overlay (sharded table, overlay arena,
+///   atomic cache), counting into the task's call tally.
+pub(crate) trait NodeSpace {
+    /// The node stored under `id`.
+    fn decode(&self, id: u32) -> Node;
+
+    /// Find-or-create the node `(level, key)`; returns its id.
+    fn find_or_insert(&mut self, level: u16, key: NodeKey) -> u32;
+
+    /// Computed-cache lookup.
+    fn cache_get(&mut self, k1: u64, k2: u64, tag: u32) -> Option<Edge>;
+
+    /// Computed-cache insert.
+    fn cache_insert(&mut self, k1: u64, k2: u64, tag: u32, r: Edge);
+
+    /// Count one recursion entry.
+    fn count(&mut self, call: Call);
+
+    /// Bottom-based level of the node an edge points to (`None` for the
+    /// constants).
+    #[inline]
+    fn edge_level(&self, e: Edge) -> Option<u16> {
+        if e.is_constant() {
+            None
+        } else {
+            Some(self.decode(e.node()).level())
+        }
+    }
+
+    /// The Shannon (R4) node of the given level — the positive literal of
+    /// that level's PV.
+    fn shannon_node(&mut self, level: u16) -> Edge {
+        let key = NodeKey::new(true, Edge::ZERO, Edge::ONE);
+        Edge::new(self.find_or_insert(level, key), false)
+    }
+
+    /// The positive literal of the level *below* `level` — `Edge::ONE` for
+    /// the fictitious `SV = 1` of the bottom level.
+    fn lit_below(&mut self, level: u16) -> Edge {
+        if level == 0 {
+            Edge::ONE
+        } else {
+            self.shannon_node(level - 1)
+        }
+    }
+
+    /// Is `e` exactly the regular positive literal of the level below
+    /// `level`? (The R4 detection pattern; no node is created.)
+    fn is_lit_below(&self, e: Edge, level: u16) -> bool {
+        if e.is_complemented() {
+            return false;
+        }
+        if level == 0 {
+            return e == Edge::ONE;
+        }
+        if e.is_constant() {
+            return false;
+        }
+        let n = self.decode(e.node());
+        n.is_shannon() && n.level() == level - 1
+    }
+
+    /// Find-or-create the biconditional node `(level, neq, eq)` applying
+    /// reduction rules R2 (identical children) and R4 (single-variable
+    /// degeneration) and the complement-attribute normalization (regular
+    /// =-edge).
+    fn make_node(&mut self, level: u16, mut neq: Edge, mut eq: Edge) -> Edge {
+        if neq == eq {
+            return eq; // R2
+        }
+        let mut out_c = false;
+        if eq.is_complemented() {
+            neq = !neq;
+            eq = !eq;
+            out_c = true;
+        }
+        // R4: (v ⊕ w)·w' + (v ⊙ w)·w  ≡  the literal v.
+        if neq == !eq && self.is_lit_below(eq, level) {
+            return self.shannon_node(level).complement_if(out_c);
+        }
+        debug_assert!(self.child_level_ok(neq, level) && self.child_level_ok(eq, level));
+        let key = NodeKey::new(false, neq, eq);
+        Edge::new(self.find_or_insert(level, key), out_c)
+    }
+
+    /// Does `child` sit strictly below `level`?
+    fn child_level_ok(&self, child: Edge, level: u16) -> bool {
+        match self.edge_level(child) {
+            None => true,
+            Some(l) => l < level,
+        }
+    }
+
+    /// Biconditional cofactors `(f_{v≠w}, f_{v=w})` of `e` with respect to
+    /// the (PV, SV) pair of `level`. `level` must be at or above the edge's
+    /// top node. Single-variable (Shannon) operands are expanded on the fly
+    /// — the lazy equivalent of Algorithm 1's `chain-transform`.
+    fn cofactors(&mut self, e: Edge, level: u16) -> (Edge, Edge) {
+        if e.is_constant() {
+            return (e, e);
+        }
+        let n = self.decode(e.node());
+        if n.level() < level {
+            return (e, e);
+        }
+        debug_assert_eq!(n.level(), level, "cofactor below the node's own level");
+        let c = e.is_complemented();
+        if n.is_shannon() {
+            // f = v:  f_{v≠w} = w',  f_{v=w} = w.
+            let lw = self.lit_below(level);
+            ((!lw).complement_if(c), lw.complement_if(c))
+        } else {
+            (n.neq().complement_if(c), n.eq().complement_if(c))
+        }
+    }
+}
+
+/// The sequential node space: nodes are created in the manager's own
+/// arena and tables, growth feeds the statistics and the GC latch.
+impl NodeSpace for Bbdd {
+    #[inline]
+    fn decode(&self, id: u32) -> Node {
+        *self.node(id)
+    }
+
+    fn find_or_insert(&mut self, level: u16, key: NodeKey) -> u32 {
+        let nodes = &mut self.nodes;
+        let free = &mut self.free;
+        let mut created = false;
+        let id = self.subtables[level as usize].get_or_insert_with(key, || {
+            created = true;
+            let node = Node::new(level, key.shannon(), key.neq(), key.eq());
+            match free.pop() {
+                Some(id) => {
+                    nodes[id as usize] = node;
+                    id
+                }
+                None => {
+                    nodes.push(node);
+                    (nodes.len() - 1) as u32
+                }
+            }
+        });
+        if created {
+            self.stats.nodes_created += 1;
+            let live = self.live_nodes();
+            if live > self.stats.peak_live_nodes {
+                self.stats.peak_live_nodes = live;
+            }
+            self.note_growth(live);
+        }
+        id
+    }
+
+    #[inline]
+    fn cache_get(&mut self, k1: u64, k2: u64, tag: u32) -> Option<Edge> {
+        self.cache
+            .get(k1, k2, tag)
+            .map(|r| Edge::from_bits(r as u32))
+    }
+
+    #[inline]
+    fn cache_insert(&mut self, k1: u64, k2: u64, tag: u32, r: Edge) {
+        self.cache.insert(k1, k2, tag, u64::from(r.bits()));
+    }
+
+    #[inline]
+    fn count(&mut self, call: Call) {
+        match call {
+            Call::Apply => self.stats.apply_calls += 1,
+            Call::Ite => self.stats.ite_calls += 1,
+            Call::Quant => self.stats.quant_calls += 1,
+        }
     }
 }
 

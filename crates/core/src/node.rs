@@ -61,6 +61,23 @@ impl Node {
     }
 
     /// The `PV ≠ SV` child (may carry the complement attribute).
+    /// The node from its three storage words (as kept by the parallel
+    /// overlay arena).
+    #[inline]
+    pub(crate) fn from_words(neq_bits: u32, eq_bits: u32, meta: u32) -> Self {
+        Node {
+            neq_bits,
+            eq_bits,
+            meta,
+        }
+    }
+
+    /// The three storage words: ≠-edge, =-edge, meta.
+    #[inline]
+    pub(crate) fn words(&self) -> (u32, u32, u32) {
+        (self.neq_bits, self.eq_bits, self.meta)
+    }
+
     #[inline]
     pub(crate) fn neq(&self) -> Edge {
         Edge::from_bits(self.neq_bits)

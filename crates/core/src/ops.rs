@@ -5,8 +5,9 @@
 //! The cube quantification / simultaneous-composition / model-enumeration
 //! suite lives in `quant.rs` (the verification ops layer).
 
+use crate::apply::ite_rec;
 use crate::edge::Edge;
-use crate::manager::Bbdd;
+use crate::manager::{Bbdd, NodeSpace};
 use ddcore::fxhash::FxHashMap as HashMap;
 use ddcore::govern::{OpAbort, OpBudget};
 
@@ -273,9 +274,9 @@ impl Bbdd {
                 //                    f|_{v=0} = ite(w, f_neq, f_eq).
                 let w = self.lit_below(lv);
                 if value {
-                    self.ite_rec(w, n.eq(), n.neq(), budget)?
+                    ite_rec(self, w, n.eq(), n.neq(), budget)?
                 } else {
-                    self.ite_rec(w, n.neq(), n.eq(), budget)?
+                    ite_rec(self, w, n.neq(), n.eq(), budget)?
                 }
             }
         } else if n.is_shannon() {
@@ -289,9 +290,9 @@ impl Bbdd {
                 // f|_{v=1} = ite(u, E', D'),  f|_{v=0} = ite(u, D', E').
                 let u = self.shannon_node(n.level());
                 if value {
-                    self.ite_rec(u, re, rd, budget)?
+                    ite_rec(self, u, re, rd, budget)?
                 } else {
-                    self.ite_rec(u, rd, re, budget)?
+                    ite_rec(self, u, rd, re, budget)?
                 }
             } else {
                 self.make_node(n.level(), rd, re)
@@ -343,7 +344,7 @@ impl Bbdd {
         self.stats.compose_calls += 1;
         let f1 = self.try_restrict(f, var, true, budget)?;
         let f0 = self.try_restrict(f, var, false, budget)?;
-        self.ite_rec(g, f1, f0, budget)
+        ite_rec(self, g, f1, f0, budget)
     }
 
     /// The complete truth table of `f` as packed 64-bit words; bit `m` of

@@ -13,12 +13,16 @@
 //!    of leaf subproblems.
 //! 2. **Parallel phase**: the base manager is *frozen* (workers only read
 //!    its arena and unique tables via lock-free `peek`s) and the leaf
-//!    subproblems run fork-join style. Result nodes are materialized in an
-//!    overlay: a [`ShardedTable`] keyed by `(level, node-key)` dedupes
-//!    across threads (consulting the frozen base tables first, so every
-//!    Boolean function has exactly **one** edge representation — base or
-//!    overlay), an [`OverlayArena`] stores the node words, and an
-//!    [`AtomicCache`] memoizes subresults lossily.
+//!    subproblems run fork-join style. Each task runs the package's own
+//!    recursion — the same `apply_rec`/`ite_rec`/`quant_rec`/
+//!    `and_exists_rec` and `make_node` the sequential [`Bbdd`] runs —
+//!    over the *overlay node space*: a [`ShardedTable`] keyed by
+//!    `(level, node-key)` dedupes across threads (consulting the frozen
+//!    base tables first, so every Boolean function has exactly **one**
+//!    edge representation — base or overlay), an [`OverlayArena`] stores
+//!    the node words, and an [`AtomicCache`] memoizes subresults lossily.
+//!    The recursions are generic over the crate's node-space trait; the
+//!    worker is its second implementation, next to the manager itself.
 //! 3. **Commit** (sequential): leaf results are imported into the base
 //!    manager — a depth-first walk over the overlay graph calling the
 //!    ordinary `make_node` — and the combine tree joins them.
@@ -35,10 +39,12 @@
 //! contract: the parallel/sequential decision depends only on operand
 //! sizes, never on the thread count.
 
+use crate::apply::{apply_rec, ite_rec, unary};
 use crate::edge::Edge;
-use crate::manager::{Bbdd, BbddStats};
-use crate::node::NodeKey;
-use ddcore::boolop::{BoolOp, Unary};
+use crate::manager::{Bbdd, BbddStats, Call, NodeSpace};
+use crate::node::{Node, NodeKey};
+use crate::quant::{and_exists_rec, quant_rec, QuantCtx};
+use ddcore::boolop::BoolOp;
 use ddcore::cantor::CantorHasher;
 use ddcore::fxhash::{FxHashMap, FxHashSet};
 use ddcore::govern::{OpAbort, OpBudget};
@@ -50,10 +56,6 @@ pub use ddcore::par::{ParConfig, ParStats};
 use ddcore::session::OverlayFrame;
 use ddcore::table::TableKey;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Shannon-mode bit in an overlay node's meta word (mirrors the arena's
-/// node layout: level in bits 0..16).
-const SHANNON_BIT: u32 = 1 << 16;
 
 /// Unique-table key of the overlay: the per-level [`NodeKey`] plus the
 /// level itself (the base manager keeps one table per level; the sharded
@@ -73,27 +75,6 @@ impl TableKey for LevelKey {
             u64::from(self.level),
         )
     }
-}
-
-/// Structural view of a node in the frozen-base + overlay space.
-#[derive(Clone, Copy)]
-struct PNode {
-    neq: Edge,
-    eq: Edge,
-    level: u16,
-    shannon: bool,
-}
-
-/// Cube-quantification context of one parallel `exists`/`forall`/
-/// `and_exists` (mirror of the sequential `QuantCtx`).
-#[derive(Debug, Clone)]
-struct PQuant {
-    /// Is the variable whose PV sits at bottom-based level `l` quantified?
-    in_cube: Vec<bool>,
-    min_level: u16,
-    cube_bits: u64,
-    combine: BoolOp,
-    tag: u32,
 }
 
 /// A deduplicated leaf subproblem of the split phase.
@@ -129,15 +110,6 @@ enum Plan {
     },
 }
 
-fn unary(u: Unary, x: Edge) -> Edge {
-    match u {
-        Unary::Zero => Edge::ZERO,
-        Unary::One => Edge::ONE,
-        Unary::Identity => x,
-        Unary::Complement => !x,
-    }
-}
-
 /// The read-only context workers run in: the frozen base manager plus the
 /// overlay storage. Shared by reference across the fork-join scope.
 struct PCtx<'a> {
@@ -147,34 +119,53 @@ struct PCtx<'a> {
     table: &'a ShardedTable<LevelKey>,
     arena: &'a OverlayArena,
     cache: &'a AtomicCache,
-    quant: Option<&'a PQuant>,
+    quant: Option<&'a QuantCtx>,
 }
 
 impl PCtx<'_> {
-    #[inline]
-    fn pnode(&self, id: u32) -> PNode {
-        if id < self.base_len {
-            let n = &self.base.nodes[id as usize];
-            PNode {
-                neq: n.neq(),
-                eq: n.eq(),
-                level: n.level(),
-                shannon: n.is_shannon(),
+    /// Run one leaf task through the package's own recursion, over this
+    /// task's view of the overlay node space. Returns the result edge and
+    /// the recursion entries it took. Workers stop only between tasks, so
+    /// the recursion itself runs unbudgeted.
+    fn run_task(&self, t: &Task) -> (Edge, u64) {
+        let mut w = Worker {
+            ctx: self,
+            calls: 0,
+        };
+        let budget = &mut OpBudget::unlimited();
+        let r = match *t {
+            Task::Apply(op, f, g) => apply_rec(&mut w, op, f, g, budget),
+            Task::Ite(f, g, h) => ite_rec(&mut w, f, g, h, budget),
+            Task::Quant(f) => {
+                let q = self.quant.expect("quant task without quant context");
+                quant_rec(&mut w, f, q, budget)
             }
-        } else {
-            let (a, b, meta) = self.arena.get(id - self.base_len);
-            PNode {
-                neq: Edge::from_bits(a),
-                eq: Edge::from_bits(b),
-                level: meta as u16,
-                shannon: meta & SHANNON_BIT != 0,
+            Task::AndExists(f, g) => {
+                let q = self.quant.expect("and-exists task without quant context");
+                and_exists_rec(&mut w, f, g, q, budget)
             }
-        }
+        };
+        (r.expect("unlimited budget never aborts"), w.calls)
     }
+}
 
+/// One task's node space: the frozen base plus the shared overlay.
+struct Worker<'c, 'a> {
+    ctx: &'c PCtx<'a>,
+    /// Recursion entries of this task (all kinds).
+    calls: u64,
+}
+
+impl NodeSpace for Worker<'_, '_> {
     #[inline]
-    fn level_of(&self, e: Edge) -> u16 {
-        self.pnode(e.node()).level
+    fn decode(&self, id: u32) -> Node {
+        let c = self.ctx;
+        if id < c.base_len {
+            *c.base.node(id)
+        } else {
+            let (a, b, meta) = c.arena.get(id - c.base_len);
+            Node::from_words(a, b, meta)
+        }
     }
 
     /// Find-or-create in the canonical frozen-base + overlay space: the
@@ -182,315 +173,30 @@ impl PCtx<'_> {
     /// sharded overlay table under exactly one shard lock. This is what
     /// guarantees one edge representation per Boolean function — the
     /// cornerstone of the determinism argument in the module docs.
-    fn find_or_insert(&self, level: u16, key: NodeKey) -> u32 {
-        if let Some(id) = self.base.subtables[level as usize].peek(&key) {
+    fn find_or_insert(&mut self, level: u16, key: NodeKey) -> u32 {
+        let c = self.ctx;
+        if let Some(id) = c.base.subtables[level as usize].peek(&key) {
             return id;
         }
-        self.table.get_or_insert_with(LevelKey { level, key }, || {
-            let meta = u32::from(level) | if key.shannon() { SHANNON_BIT } else { 0 };
-            self.base_len + self.arena.alloc(key.neq().bits(), key.eq().bits(), meta)
+        c.table.get_or_insert_with(LevelKey { level, key }, || {
+            let (a, b, meta) = Node::new(level, key.shannon(), key.neq(), key.eq()).words();
+            c.base_len + c.arena.alloc(a, b, meta)
         })
     }
 
-    fn shannon_node(&self, level: u16) -> Edge {
-        let key = NodeKey::new(true, Edge::ZERO, Edge::ONE);
-        Edge::new(self.find_or_insert(level, key), false)
+    #[inline]
+    fn cache_get(&mut self, k1: u64, k2: u64, tag: u32) -> Option<Edge> {
+        self.ctx.cache.get(k1, k2, tag).map(Edge::from_bits)
     }
 
-    fn lit_below(&self, level: u16) -> Edge {
-        if level == 0 {
-            Edge::ONE
-        } else {
-            self.shannon_node(level - 1)
-        }
+    #[inline]
+    fn cache_insert(&mut self, k1: u64, k2: u64, tag: u32, r: Edge) {
+        self.ctx.cache.insert(k1, k2, tag, r.bits());
     }
 
-    fn is_lit_below(&self, e: Edge, level: u16) -> bool {
-        if e.is_complemented() {
-            return false;
-        }
-        if level == 0 {
-            return e == Edge::ONE;
-        }
-        if e.is_constant() {
-            return false;
-        }
-        let n = self.pnode(e.node());
-        n.shannon && n.level == level - 1
-    }
-
-    /// Mirror of [`Bbdd::make_node`] in the overlay space (R2, complement
-    /// normalization, R4).
-    fn make_node(&self, level: u16, mut neq: Edge, mut eq: Edge) -> Edge {
-        if neq == eq {
-            return eq;
-        }
-        let mut out_c = false;
-        if eq.is_complemented() {
-            neq = !neq;
-            eq = !eq;
-            out_c = true;
-        }
-        if neq == !eq && self.is_lit_below(eq, level) {
-            return self.shannon_node(level).complement_if(out_c);
-        }
-        let key = NodeKey::new(false, neq, eq);
-        Edge::new(self.find_or_insert(level, key), out_c)
-    }
-
-    /// Mirror of the manager's biconditional cofactors (Shannon operands
-    /// expand through the lazy chain literal).
-    fn cofactors(&self, e: Edge, level: u16) -> (Edge, Edge) {
-        if e.is_constant() {
-            return (e, e);
-        }
-        let n = self.pnode(e.node());
-        if n.level < level {
-            return (e, e);
-        }
-        debug_assert_eq!(n.level, level, "cofactor below the node's own level");
-        let c = e.is_complemented();
-        if n.shannon {
-            let lw = self.lit_below(level);
-            ((!lw).complement_if(c), lw.complement_if(c))
-        } else {
-            (n.neq.complement_if(c), n.eq.complement_if(c))
-        }
-    }
-
-    /// Algorithm 1 in the overlay space — the worker-side mirror of the
-    /// manager's `apply_rec`.
-    fn apply_rec(&self, mut op: BoolOp, mut f: Edge, mut g: Edge, calls: &mut u64) -> Edge {
-        *calls += 1;
-        if f == g {
-            return unary(op.on_equal_operands(), f);
-        }
-        if f == !g {
-            return unary(op.on_complement_operands(), f);
-        }
-        if f.is_constant() {
-            return unary(op.on_first_const(f == Edge::ONE), g);
-        }
-        if g.is_constant() {
-            return unary(op.on_second_const(g == Edge::ONE), f);
-        }
-        if f.is_complemented() {
-            f = !f;
-            op = op.complement_first();
-        }
-        if g.is_complemented() {
-            g = !g;
-            op = op.complement_second();
-        }
-        if f.node() > g.node() {
-            std::mem::swap(&mut f, &mut g);
-            op = op.swap_operands();
-        }
-        let mut out_c = false;
-        if op.eval(false, false) {
-            op = op.complement_output();
-            out_c = true;
-        }
-        if op == BoolOp::FALSE {
-            return Edge::ZERO.complement_if(out_c);
-        }
-        if op == BoolOp::FIRST {
-            return f.complement_if(out_c);
-        }
-        if op == BoolOp::SECOND {
-            return g.complement_if(out_c);
-        }
-        let (k1, k2, tag) = (
-            u64::from(f.bits()),
-            u64::from(g.bits()),
-            u32::from(op.table()),
-        );
-        if let Some(r) = self.cache.get(k1, k2, tag) {
-            return Edge::from_bits(r).complement_if(out_c);
-        }
-        let i = self.level_of(f).max(self.level_of(g));
-        let (fd, fe) = self.cofactors(f, i);
-        let (gd, ge) = self.cofactors(g, i);
-        let e = self.apply_rec(op, fe, ge, calls);
-        let d = self.apply_rec(op, fd, gd, calls);
-        let r = self.make_node(i, d, e);
-        self.cache.insert(k1, k2, tag, r.bits());
-        r.complement_if(out_c)
-    }
-
-    /// Worker-side mirror of the manager's `ite_rec`.
-    fn ite_rec(&self, mut f: Edge, mut g: Edge, mut h: Edge, calls: &mut u64) -> Edge {
-        *calls += 1;
-        if f == Edge::ONE {
-            return g;
-        }
-        if f == Edge::ZERO {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        if g == Edge::ONE && h == Edge::ZERO {
-            return f;
-        }
-        if g == Edge::ZERO && h == Edge::ONE {
-            return !f;
-        }
-        if f == g || g == Edge::ONE {
-            return self.apply_rec(BoolOp::OR, f, h, calls);
-        }
-        if f == !g || g == Edge::ZERO {
-            return self.apply_rec(BoolOp::NOT_AND, f, h, calls);
-        }
-        if f == h || h == Edge::ZERO {
-            return self.apply_rec(BoolOp::AND, f, g, calls);
-        }
-        if f == !h || h == Edge::ONE {
-            return self.apply_rec(BoolOp::IMPLIES, f, g, calls);
-        }
-        if f.is_complemented() {
-            f = !f;
-            std::mem::swap(&mut g, &mut h);
-        }
-        let mut out_c = false;
-        if g.is_complemented() {
-            g = !g;
-            h = !h;
-            out_c = true;
-        }
-        let k1 = u64::from(f.bits());
-        let k2 = (u64::from(g.bits()) << 32) | u64::from(h.bits());
-        if let Some(r) = self.cache.get(k1, k2, optag::ITE) {
-            return Edge::from_bits(r).complement_if(out_c);
-        }
-        let mut i = self.level_of(f);
-        for e in [g, h] {
-            if !e.is_constant() {
-                i = i.max(self.level_of(e));
-            }
-        }
-        let (fd, fe) = self.cofactors(f, i);
-        let (gd, ge) = self.cofactors(g, i);
-        let (hd, he) = self.cofactors(h, i);
-        let e = self.ite_rec(fe, ge, he, calls);
-        let d = self.ite_rec(fd, gd, hd, calls);
-        let r = self.make_node(i, d, e);
-        self.cache.insert(k1, k2, optag::ITE, r.bits());
-        r.complement_if(out_c)
-    }
-
-    /// Worker-side mirror of the manager's cube quantification (the three
-    /// chain cases are documented in `quant.rs`).
-    fn quant_rec(&self, f: Edge, q: &PQuant, calls: &mut u64) -> Edge {
-        if f.is_constant() {
-            return f;
-        }
-        let i = self.level_of(f);
-        if i < q.min_level {
-            return f;
-        }
-        *calls += 1;
-        let (k1, k2) = (u64::from(f.bits()), q.cube_bits);
-        if let Some(r) = self.cache.get(k1, k2, q.tag) {
-            return Edge::from_bits(r);
-        }
-        let (fd, fe) = self.cofactors(f, i);
-        let r = if q.in_cube[i as usize] {
-            let a = self.quant_rec(fd, q, calls);
-            let absorbing = if q.tag == optag::EXISTS {
-                Edge::ONE
-            } else {
-                Edge::ZERO
-            };
-            if a == absorbing {
-                absorbing
-            } else {
-                let b = self.quant_rec(fe, q, calls);
-                self.apply_rec(q.combine, a, b, calls)
-            }
-        } else if i > 0 && q.in_cube[i as usize - 1] {
-            let w = self.shannon_node(i - 1);
-            let f1 = self.ite_rec(w, fe, fd, calls);
-            let f0 = self.ite_rec(w, fd, fe, calls);
-            let r1 = self.quant_rec(f1, q, calls);
-            let r0 = self.quant_rec(f0, q, calls);
-            let v = self.shannon_node(i);
-            self.ite_rec(v, r1, r0, calls)
-        } else {
-            let a = self.quant_rec(fd, q, calls);
-            let b = self.quant_rec(fe, q, calls);
-            self.make_node(i, a, b)
-        };
-        self.cache.insert(k1, k2, q.tag, r.bits());
-        r
-    }
-
-    /// Worker-side mirror of the manager's fused `and_exists`.
-    fn and_exists_rec(&self, f: Edge, g: Edge, q: &PQuant, calls: &mut u64) -> Edge {
-        if f == Edge::ZERO || g == Edge::ZERO || f == !g {
-            return Edge::ZERO;
-        }
-        if f == Edge::ONE {
-            return self.quant_rec(g, q, calls);
-        }
-        if g == Edge::ONE || f == g {
-            return self.quant_rec(f, q, calls);
-        }
-        let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
-        let i = self.level_of(f).max(self.level_of(g));
-        if i < q.min_level {
-            return self.apply_rec(BoolOp::AND, f, g, calls);
-        }
-        *calls += 1;
-        let k1 = u64::from(f.bits());
-        let k2 = (u64::from(g.bits()) << 32) | q.cube_bits;
-        if let Some(r) = self.cache.get(k1, k2, optag::AND_EXISTS) {
-            return Edge::from_bits(r);
-        }
-        let (fd, fe) = self.cofactors(f, i);
-        let (gd, ge) = self.cofactors(g, i);
-        let r = if q.in_cube[i as usize] {
-            let a = self.and_exists_rec(fd, gd, q, calls);
-            if a == Edge::ONE {
-                Edge::ONE
-            } else {
-                let b = self.and_exists_rec(fe, ge, q, calls);
-                self.apply_rec(BoolOp::OR, a, b, calls)
-            }
-        } else if i > 0 && q.in_cube[i as usize - 1] {
-            let w = self.shannon_node(i - 1);
-            let f1 = self.ite_rec(w, fe, fd, calls);
-            let f0 = self.ite_rec(w, fd, fe, calls);
-            let g1 = self.ite_rec(w, ge, gd, calls);
-            let g0 = self.ite_rec(w, gd, ge, calls);
-            let r1 = self.and_exists_rec(f1, g1, q, calls);
-            let r0 = self.and_exists_rec(f0, g0, q, calls);
-            let v = self.shannon_node(i);
-            self.ite_rec(v, r1, r0, calls)
-        } else {
-            let a = self.and_exists_rec(fd, gd, q, calls);
-            let b = self.and_exists_rec(fe, ge, q, calls);
-            self.make_node(i, a, b)
-        };
-        self.cache.insert(k1, k2, optag::AND_EXISTS, r.bits());
-        r
-    }
-
-    fn run_task(&self, t: &Task) -> (Edge, u64) {
-        let mut calls = 0u64;
-        let r = match *t {
-            Task::Apply(op, f, g) => self.apply_rec(op, f, g, &mut calls),
-            Task::Ite(f, g, h) => self.ite_rec(f, g, h, &mut calls),
-            Task::Quant(f) => {
-                let q = self.quant.expect("quant task without quant context");
-                self.quant_rec(f, q, &mut calls)
-            }
-            Task::AndExists(f, g) => {
-                let q = self.quant.expect("and-exists task without quant context");
-                self.and_exists_rec(f, g, q, &mut calls)
-            }
-        };
-        (r, calls)
+    #[inline]
+    fn count(&mut self, _call: Call) {
+        self.calls += 1;
     }
 }
 
@@ -810,7 +516,7 @@ impl ParBbdd {
             self.stats.ops_sequential += 1;
             return self.inner.and_exists(f, g, vars);
         }
-        let Some(q) = self.build_quant(vars, BoolOp::OR, optag::EXISTS) else {
+        let Some(q) = self.inner.quant_ctx(vars, BoolOp::OR, optag::EXISTS) else {
             return self.apply(BoolOp::AND, f, g);
         };
         let depth = self.split_depth();
@@ -939,7 +645,7 @@ impl ParBbdd {
             self.stats.ops_sequential += 1;
             return self.inner.try_and_exists(f, g, vars, budget);
         }
-        let Some(q) = self.build_quant(vars, BoolOp::OR, optag::EXISTS) else {
+        let Some(q) = self.inner.quant_ctx(vars, BoolOp::OR, optag::EXISTS) else {
             return self.try_apply(BoolOp::AND, f, g, budget);
         };
         let depth = self.split_depth();
@@ -1015,7 +721,7 @@ impl ParBbdd {
                 self.inner.try_forall(f, vars, budget)
             };
         }
-        let Some(q) = self.build_quant(vars, combine, tag) else {
+        let Some(q) = self.inner.quant_ctx(vars, combine, tag) else {
             return Ok(f);
         };
         let depth = self.split_depth();
@@ -1034,7 +740,7 @@ impl ParBbdd {
                 self.inner.forall(f, vars)
             };
         }
-        let Some(q) = self.build_quant(vars, combine, tag) else {
+        let Some(q) = self.inner.quant_ctx(vars, combine, tag) else {
             return f;
         };
         let depth = self.split_depth();
@@ -1089,38 +795,6 @@ impl ParBbdd {
                 (t.trailing_zeros() as u16 + 3).min(12)
             }
         }
-    }
-
-    /// Mirror of the sequential `quant_ctx`: the level cube mask plus the
-    /// canonical cube handle, built in the inner manager *before* the
-    /// freeze (a deterministic prologue).
-    fn build_quant(&mut self, vars: &[usize], combine: BoolOp, tag: u32) -> Option<PQuant> {
-        let n = self.inner.num_vars();
-        let mut in_cube = vec![false; n];
-        let mut min_level = u16::MAX;
-        for &v in vars {
-            assert!(v < n, "quantified variable {v} out of range");
-            let l = self.inner.level_of_var[v] as u16;
-            in_cube[l as usize] = true;
-            min_level = min_level.min(l);
-        }
-        if min_level == u16::MAX {
-            return None;
-        }
-        let mut cube = Edge::ONE;
-        for l in (0..n).rev() {
-            if in_cube[l] {
-                let lit = self.inner.shannon_node(l as u16);
-                cube = self.inner.and(cube, lit);
-            }
-        }
-        Some(PQuant {
-            in_cube,
-            min_level,
-            cube_bits: u64::from(cube.bits()),
-            combine,
-            tag,
-        })
     }
 
     fn intern_task(
@@ -1244,7 +918,7 @@ impl ParBbdd {
     fn split_quant(
         &mut self,
         f: Edge,
-        q: &PQuant,
+        q: &QuantCtx,
         depth: u16,
         tasks: &mut Vec<Task>,
         dedup: &mut FxHashMap<(u32, u64, u64), usize>,
@@ -1295,7 +969,7 @@ impl ParBbdd {
         &mut self,
         f: Edge,
         g: Edge,
-        q: &PQuant,
+        q: &QuantCtx,
         depth: u16,
         tasks: &mut Vec<Task>,
         dedup: &mut FxHashMap<(u32, u64, u64), usize>,
@@ -1354,7 +1028,7 @@ impl ParBbdd {
 
     /// Phases 2 + 3: run the leaf tasks fork-join style over the frozen
     /// base, then commit deterministically (import + combine).
-    fn execute(&mut self, plan: &Plan, tasks: &[Task], quant: Option<&PQuant>) -> Edge {
+    fn execute(&mut self, plan: &Plan, tasks: &[Task], quant: Option<&QuantCtx>) -> Edge {
         // Catch any inner-manager collection this wrapper did not perform
         // itself before trusting id-keyed cache entries.
         self.sync_cache_epoch();
@@ -1440,13 +1114,13 @@ impl ParBbdd {
             return r.complement_if(e.is_complemented());
         }
         let (a, b, meta) = arena.get(id - base_len);
-        let level = meta as u16;
-        let r = if meta & SHANNON_BIT != 0 {
-            inner.shannon_node(level)
+        let n = Node::from_words(a, b, meta);
+        let r = if n.is_shannon() {
+            inner.shannon_node(n.level())
         } else {
-            let neq = Self::import(inner, arena, base_len, memo, Edge::from_bits(a));
-            let eq = Self::import(inner, arena, base_len, memo, Edge::from_bits(b));
-            inner.make_node(level, neq, eq)
+            let neq = Self::import(inner, arena, base_len, memo, n.neq());
+            let eq = Self::import(inner, arena, base_len, memo, n.eq());
+            inner.make_node(n.level(), neq, eq)
         };
         debug_assert!(
             !r.is_complemented(),
@@ -1489,7 +1163,7 @@ impl ParBbdd {
         &mut self,
         plan: &Plan,
         tasks: &[Task],
-        quant: Option<&PQuant>,
+        quant: Option<&QuantCtx>,
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
         self.sync_cache_epoch();

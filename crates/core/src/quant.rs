@@ -32,29 +32,31 @@
 //! Case 2 is the BBDD-specific cost of the chain structure; an ROBDD never
 //! needs it.
 
+use crate::apply::{apply_rec, ite_rec};
 use crate::edge::Edge;
-use crate::manager::Bbdd;
+use crate::manager::{Bbdd, Call, NodeSpace};
 use ddcore::boolop::BoolOp;
 use ddcore::fxhash::FxHashMap;
 use ddcore::govern::{OpAbort, OpBudget};
 use ddcore::nary::NaryOp;
 use ddcore::optag;
 
-/// Immutable context shared by one cube-quantification run.
-struct QuantCtx {
+/// Immutable context shared by one cube-quantification run (sequential,
+/// or every worker task of one parallel operation).
+pub(crate) struct QuantCtx {
     /// `in_cube[l]` — is the variable whose PV sits at bottom-based level
     /// `l` quantified?
-    in_cube: Vec<bool>,
+    pub(crate) in_cube: Vec<bool>,
     /// Lowest quantified level; nodes strictly below are untouched.
-    min_level: u16,
+    pub(crate) min_level: u16,
     /// Computed-table key word naming the cube: the packed edge of the
     /// conjunction of the quantified variables' positive literals
     /// (canonical, so equal cubes share cache entries).
-    cube_bits: u64,
+    pub(crate) cube_bits: u64,
     /// `OR` for `∃`, `AND` for `∀`.
-    combine: BoolOp,
+    pub(crate) combine: BoolOp,
     /// [`optag::EXISTS`] or [`optag::FORALL`].
-    tag: u32,
+    pub(crate) tag: u32,
 }
 
 impl Bbdd {
@@ -96,7 +98,7 @@ impl Bbdd {
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
         match self.quant_ctx(vars, BoolOp::OR, optag::EXISTS) {
-            Some(ctx) => self.quant_rec(f, &ctx, budget),
+            Some(ctx) => quant_rec(self, f, &ctx, budget),
             None => Ok(f),
         }
     }
@@ -133,7 +135,7 @@ impl Bbdd {
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
         match self.quant_ctx(vars, BoolOp::AND, optag::FORALL) {
-            Some(ctx) => self.quant_rec(f, &ctx, budget),
+            Some(ctx) => quant_rec(self, f, &ctx, budget),
             None => Ok(f),
         }
     }
@@ -176,13 +178,18 @@ impl Bbdd {
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
         match self.quant_ctx(vars, BoolOp::OR, optag::EXISTS) {
-            Some(ctx) => self.and_exists_rec(f, g, &ctx, budget),
-            None => self.apply_rec(BoolOp::AND, f, g, budget),
+            Some(ctx) => and_exists_rec(self, f, g, &ctx, budget),
+            None => apply_rec(self, BoolOp::AND, f, g, budget),
         }
     }
 
     /// Build the quantification context, or `None` for an empty cube.
-    fn quant_ctx(&mut self, vars: &[usize], combine: BoolOp, tag: u32) -> Option<QuantCtx> {
+    pub(crate) fn quant_ctx(
+        &mut self,
+        vars: &[usize],
+        combine: BoolOp,
+        tag: u32,
+    ) -> Option<QuantCtx> {
         let n = self.num_vars();
         let mut in_cube = vec![false; n];
         let mut min_level = u16::MAX;
@@ -211,122 +218,6 @@ impl Bbdd {
             combine,
             tag,
         })
-    }
-
-    fn quant_rec(
-        &mut self,
-        f: Edge,
-        ctx: &QuantCtx,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        if f.is_constant() {
-            return Ok(f);
-        }
-        let i = self.node(f.node()).level();
-        if i < ctx.min_level {
-            return Ok(f); // no quantified variable at or below this node
-        }
-        self.stats.quant_calls += 1;
-        let (k1, k2) = (f.bits() as u64, ctx.cube_bits);
-        if let Some(r) = self.cache.get(k1, k2, ctx.tag) {
-            return Ok(Edge::from_bits(r as u32));
-        }
-        budget.checkpoint()?;
-        let (fd, fe) = self.cofactors(f, i);
-        let r = if ctx.in_cube[i as usize] {
-            // Case 1: the PV is quantified away.
-            let a = self.quant_rec(fd, ctx, budget)?;
-            let absorbing = if ctx.tag == optag::EXISTS {
-                Edge::ONE
-            } else {
-                Edge::ZERO
-            };
-            if a == absorbing {
-                absorbing
-            } else {
-                let b = self.quant_rec(fe, ctx, budget)?;
-                self.apply_rec(ctx.combine, a, b, budget)?
-            }
-        } else if i > 0 && ctx.in_cube[i as usize - 1] {
-            // Case 2: the SV is quantified but the PV is not.
-            let w = self.shannon_node(i - 1);
-            let f1 = self.ite_rec(w, fe, fd, budget)?;
-            let f0 = self.ite_rec(w, fd, fe, budget)?;
-            let r1 = self.quant_rec(f1, ctx, budget)?;
-            let r0 = self.quant_rec(f0, ctx, budget)?;
-            let v = self.shannon_node(i);
-            self.ite_rec(v, r1, r0, budget)?
-        } else {
-            // Case 3: the branch condition survives untouched.
-            let a = self.quant_rec(fd, ctx, budget)?;
-            let b = self.quant_rec(fe, ctx, budget)?;
-            self.make_node(i, a, b)
-        };
-        self.cache.insert(k1, k2, ctx.tag, r.bits() as u64);
-        Ok(r)
-    }
-
-    fn and_exists_rec(
-        &mut self,
-        f: Edge,
-        g: Edge,
-        ctx: &QuantCtx,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        // Terminal cases of the conjunction.
-        if f == Edge::ZERO || g == Edge::ZERO || f == !g {
-            return Ok(Edge::ZERO);
-        }
-        if f == Edge::ONE {
-            return self.quant_rec(g, ctx, budget);
-        }
-        if g == Edge::ONE || f == g {
-            return self.quant_rec(f, ctx, budget);
-        }
-        // AND is commutative: canonical operand order doubles cache reuse.
-        let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
-        let lf = self.node(f.node()).level();
-        let lg = self.node(g.node()).level();
-        let i = lf.max(lg);
-        if i < ctx.min_level {
-            // Below every quantified variable.
-            return self.apply_rec(BoolOp::AND, f, g, budget);
-        }
-        self.stats.quant_calls += 1;
-        let k1 = f.bits() as u64;
-        let k2 = ((g.bits() as u64) << 32) | ctx.cube_bits;
-        if let Some(r) = self.cache.get(k1, k2, optag::AND_EXISTS) {
-            return Ok(Edge::from_bits(r as u32));
-        }
-        budget.checkpoint()?;
-        let (fd, fe) = self.cofactors(f, i);
-        let (gd, ge) = self.cofactors(g, i);
-        let r = if ctx.in_cube[i as usize] {
-            let a = self.and_exists_rec(fd, gd, ctx, budget)?;
-            if a == Edge::ONE {
-                Edge::ONE
-            } else {
-                let b = self.and_exists_rec(fe, ge, ctx, budget)?;
-                self.apply_rec(BoolOp::OR, a, b, budget)?
-            }
-        } else if i > 0 && ctx.in_cube[i as usize - 1] {
-            let w = self.shannon_node(i - 1);
-            let f1 = self.ite_rec(w, fe, fd, budget)?;
-            let f0 = self.ite_rec(w, fd, fe, budget)?;
-            let g1 = self.ite_rec(w, ge, gd, budget)?;
-            let g0 = self.ite_rec(w, gd, ge, budget)?;
-            let r1 = self.and_exists_rec(f1, g1, ctx, budget)?;
-            let r0 = self.and_exists_rec(f0, g0, ctx, budget)?;
-            let v = self.shannon_node(i);
-            self.ite_rec(v, r1, r0, budget)?
-        } else {
-            let a = self.and_exists_rec(fd, gd, ctx, budget)?;
-            let b = self.and_exists_rec(fe, ge, ctx, budget)?;
-            self.make_node(i, a, b)
-        };
-        self.cache
-            .insert(k1, k2, optag::AND_EXISTS, r.bits() as u64);
-        Ok(r)
     }
 
     /// Simultaneous composition: substitute `subs[v]` for every variable
@@ -636,6 +527,124 @@ impl Bbdd {
         self.all_sat_rec(ze, val, rel, limit, out);
         rel[l] = None;
     }
+}
+
+/// Cube quantification over any [`NodeSpace`] (the three chain cases are
+/// documented at the top of this module).
+pub(crate) fn quant_rec<S: NodeSpace>(
+    s: &mut S,
+    f: Edge,
+    ctx: &QuantCtx,
+    budget: &mut OpBudget,
+) -> Result<Edge, OpAbort> {
+    if f.is_constant() {
+        return Ok(f);
+    }
+    let i = s.decode(f.node()).level();
+    if i < ctx.min_level {
+        return Ok(f); // no quantified variable at or below this node
+    }
+    s.count(Call::Quant);
+    let (k1, k2) = (f.bits() as u64, ctx.cube_bits);
+    if let Some(r) = s.cache_get(k1, k2, ctx.tag) {
+        return Ok(r);
+    }
+    budget.checkpoint()?;
+    let (fd, fe) = s.cofactors(f, i);
+    let r = if ctx.in_cube[i as usize] {
+        // Case 1: the PV is quantified away.
+        let a = quant_rec(s, fd, ctx, budget)?;
+        let absorbing = if ctx.tag == optag::EXISTS {
+            Edge::ONE
+        } else {
+            Edge::ZERO
+        };
+        if a == absorbing {
+            absorbing
+        } else {
+            let b = quant_rec(s, fe, ctx, budget)?;
+            apply_rec(s, ctx.combine, a, b, budget)?
+        }
+    } else if i > 0 && ctx.in_cube[i as usize - 1] {
+        // Case 2: the SV is quantified but the PV is not.
+        let w = s.shannon_node(i - 1);
+        let f1 = ite_rec(s, w, fe, fd, budget)?;
+        let f0 = ite_rec(s, w, fd, fe, budget)?;
+        let r1 = quant_rec(s, f1, ctx, budget)?;
+        let r0 = quant_rec(s, f0, ctx, budget)?;
+        let v = s.shannon_node(i);
+        ite_rec(s, v, r1, r0, budget)?
+    } else {
+        // Case 3: the branch condition survives untouched.
+        let a = quant_rec(s, fd, ctx, budget)?;
+        let b = quant_rec(s, fe, ctx, budget)?;
+        s.make_node(i, a, b)
+    };
+    s.cache_insert(k1, k2, ctx.tag, r);
+    Ok(r)
+}
+
+/// The fused `∃ C . (f ∧ g)` over any [`NodeSpace`].
+pub(crate) fn and_exists_rec<S: NodeSpace>(
+    s: &mut S,
+    f: Edge,
+    g: Edge,
+    ctx: &QuantCtx,
+    budget: &mut OpBudget,
+) -> Result<Edge, OpAbort> {
+    // Terminal cases of the conjunction.
+    if f == Edge::ZERO || g == Edge::ZERO || f == !g {
+        return Ok(Edge::ZERO);
+    }
+    if f == Edge::ONE {
+        return quant_rec(s, g, ctx, budget);
+    }
+    if g == Edge::ONE || f == g {
+        return quant_rec(s, f, ctx, budget);
+    }
+    // AND is commutative: canonical operand order doubles cache reuse.
+    let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
+    let lf = s.decode(f.node()).level();
+    let lg = s.decode(g.node()).level();
+    let i = lf.max(lg);
+    if i < ctx.min_level {
+        // Below every quantified variable.
+        return apply_rec(s, BoolOp::AND, f, g, budget);
+    }
+    s.count(Call::Quant);
+    let k1 = f.bits() as u64;
+    let k2 = ((g.bits() as u64) << 32) | ctx.cube_bits;
+    if let Some(r) = s.cache_get(k1, k2, optag::AND_EXISTS) {
+        return Ok(r);
+    }
+    budget.checkpoint()?;
+    let (fd, fe) = s.cofactors(f, i);
+    let (gd, ge) = s.cofactors(g, i);
+    let r = if ctx.in_cube[i as usize] {
+        let a = and_exists_rec(s, fd, gd, ctx, budget)?;
+        if a == Edge::ONE {
+            Edge::ONE
+        } else {
+            let b = and_exists_rec(s, fe, ge, ctx, budget)?;
+            apply_rec(s, BoolOp::OR, a, b, budget)?
+        }
+    } else if i > 0 && ctx.in_cube[i as usize - 1] {
+        let w = s.shannon_node(i - 1);
+        let f1 = ite_rec(s, w, fe, fd, budget)?;
+        let f0 = ite_rec(s, w, fd, fe, budget)?;
+        let g1 = ite_rec(s, w, ge, gd, budget)?;
+        let g0 = ite_rec(s, w, gd, ge, budget)?;
+        let r1 = and_exists_rec(s, f1, g1, ctx, budget)?;
+        let r0 = and_exists_rec(s, f0, g0, ctx, budget)?;
+        let v = s.shannon_node(i);
+        ite_rec(s, v, r1, r0, budget)?
+    } else {
+        let a = and_exists_rec(s, fd, gd, ctx, budget)?;
+        let b = and_exists_rec(s, fe, ge, ctx, budget)?;
+        s.make_node(i, a, b)
+    };
+    s.cache_insert(k1, k2, optag::AND_EXISTS, r);
+    Ok(r)
 }
 
 #[cfg(test)]

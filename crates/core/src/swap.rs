@@ -41,7 +41,7 @@
 //!   `=`-edge.
 
 use crate::edge::Edge;
-use crate::manager::Bbdd;
+use crate::manager::{Bbdd, NodeSpace};
 use crate::node::{Node, NodeKey};
 use ddcore::fxhash::FxHashMap;
 

@@ -6,7 +6,7 @@
 //! recurses over the Shannon expansion at the top variable.
 
 use crate::edge::Edge;
-use crate::manager::Robdd;
+use crate::manager::{Call, NodeSpace, Robdd};
 use ddcore::boolop::{BoolOp, Unary};
 use ddcore::govern::{OpAbort, OpBudget};
 use ddcore::optag;
@@ -35,7 +35,7 @@ impl Robdd {
         g: Edge,
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
-        self.apply_rec(op, f, g, budget)
+        apply_rec(self, op, f, g, budget)
     }
 
     /// `f ∧ g`.
@@ -73,88 +73,6 @@ impl Robdd {
         self.apply(BoolOp::IMPLIES, f, g)
     }
 
-    fn unary(&self, u: Unary, x: Edge) -> Edge {
-        match u {
-            Unary::Zero => Edge::ZERO,
-            Unary::One => Edge::ONE,
-            Unary::Identity => x,
-            Unary::Complement => !x,
-        }
-    }
-
-    pub(crate) fn apply_rec(
-        &mut self,
-        mut op: BoolOp,
-        mut f: Edge,
-        mut g: Edge,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.stats.apply_calls += 1;
-        if f == g {
-            return Ok(self.unary(op.on_equal_operands(), f));
-        }
-        if f == !g {
-            return Ok(self.unary(op.on_complement_operands(), f));
-        }
-        if f.is_constant() {
-            return Ok(self.unary(op.on_first_const(f == Edge::ONE), g));
-        }
-        if g.is_constant() {
-            return Ok(self.unary(op.on_second_const(g == Edge::ONE), f));
-        }
-        if f.is_complemented() {
-            f = !f;
-            op = op.complement_first();
-        }
-        if g.is_complemented() {
-            g = !g;
-            op = op.complement_second();
-        }
-        if f.node() > g.node() {
-            std::mem::swap(&mut f, &mut g);
-            op = op.swap_operands();
-        }
-        let mut out_c = false;
-        if op.eval(false, false) {
-            op = op.complement_output();
-            out_c = true;
-        }
-        if op == BoolOp::FALSE {
-            return Ok(Edge::ZERO.complement_if(out_c));
-        }
-        if op == BoolOp::FIRST {
-            return Ok(f.complement_if(out_c));
-        }
-        if op == BoolOp::SECOND {
-            return Ok(g.complement_if(out_c));
-        }
-
-        let (k1, k2, tag) = (f.bits() as u64, g.bits() as u64, op.table() as u32);
-        if let Some(r) = self.cache.get(k1, k2, tag) {
-            return Ok(Edge::from_bits(r as u32).complement_if(out_c));
-        }
-        // Abort-consistency: poll on the miss, *before* building anything.
-        // The cache insert below runs strictly after a successful
-        // make_node, so an abort can never leave the cache pointing at a
-        // node that was never committed.
-        budget.checkpoint()?;
-
-        // Shannon expansion at the top variable (minimal order position).
-        let (pf, pg) = (self.edge_pos(f), self.edge_pos(g));
-        let var = if pf <= pg {
-            self.node(f.node()).var()
-        } else {
-            self.node(g.node()).var()
-        };
-        let (f1, f0) = self.cofactors(f, var);
-        let (g1, g0) = self.cofactors(g, var);
-        let t = self.apply_rec(op, f1, g1, budget)?;
-        let e = self.apply_rec(op, f0, g0, budget)?;
-        let r = self.make_node(var, t, e);
-        self.cache.insert(k1, k2, tag, r.bits() as u64);
-        Ok(r.complement_if(out_c))
-    }
-
     /// If-then-else with the classic normalizations.
     pub fn ite(&mut self, f: Edge, g: Edge, h: Edge) -> Edge {
         self.try_ite(f, g, h, &mut OpBudget::unlimited())
@@ -173,75 +91,161 @@ impl Robdd {
         h: Edge,
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
-        self.ite_rec(f, g, h, budget)
+        ite_rec(self, f, g, h, budget)
+    }
+}
+
+/// The edge a trivial-operation list entry denotes for operand `x`.
+pub(crate) fn unary(u: Unary, x: Edge) -> Edge {
+    match u {
+        Unary::Zero => Edge::ZERO,
+        Unary::One => Edge::ONE,
+        Unary::Identity => x,
+        Unary::Complement => !x,
+    }
+}
+
+/// The Shannon-expansion apply over any [`NodeSpace`]: the sequential
+/// manager and the parallel workers run this same recursion.
+pub(crate) fn apply_rec<S: NodeSpace>(
+    s: &mut S,
+    mut op: BoolOp,
+    mut f: Edge,
+    mut g: Edge,
+    budget: &mut OpBudget,
+) -> Result<Edge, OpAbort> {
+    s.count(Call::Apply);
+    if f == g {
+        return Ok(unary(op.on_equal_operands(), f));
+    }
+    if f == !g {
+        return Ok(unary(op.on_complement_operands(), f));
+    }
+    if f.is_constant() {
+        return Ok(unary(op.on_first_const(f == Edge::ONE), g));
+    }
+    if g.is_constant() {
+        return Ok(unary(op.on_second_const(g == Edge::ONE), f));
+    }
+    if f.is_complemented() {
+        f = !f;
+        op = op.complement_first();
+    }
+    if g.is_complemented() {
+        g = !g;
+        op = op.complement_second();
+    }
+    if f.node() > g.node() {
+        std::mem::swap(&mut f, &mut g);
+        op = op.swap_operands();
+    }
+    let mut out_c = false;
+    if op.eval(false, false) {
+        op = op.complement_output();
+        out_c = true;
+    }
+    if op == BoolOp::FALSE {
+        return Ok(Edge::ZERO.complement_if(out_c));
+    }
+    if op == BoolOp::FIRST {
+        return Ok(f.complement_if(out_c));
+    }
+    if op == BoolOp::SECOND {
+        return Ok(g.complement_if(out_c));
     }
 
-    pub(crate) fn ite_rec(
-        &mut self,
-        mut f: Edge,
-        mut g: Edge,
-        mut h: Edge,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        self.stats.apply_calls += 1;
-        if f == Edge::ONE {
-            return Ok(g);
-        }
-        if f == Edge::ZERO {
-            return Ok(h);
-        }
-        if g == h {
-            return Ok(g);
-        }
-        if g == Edge::ONE && h == Edge::ZERO {
-            return Ok(f);
-        }
-        if g == Edge::ZERO && h == Edge::ONE {
-            return Ok(!f);
-        }
-        if f == g || g == Edge::ONE {
-            return self.apply_rec(BoolOp::OR, f, h, budget);
-        }
-        if f == !g || g == Edge::ZERO {
-            return self.apply_rec(BoolOp::NOT_AND, f, h, budget);
-        }
-        if f == h || h == Edge::ZERO {
-            return self.apply_rec(BoolOp::AND, f, g, budget);
-        }
-        if f == !h || h == Edge::ONE {
-            return self.apply_rec(BoolOp::IMPLIES, f, g, budget);
-        }
-        if f.is_complemented() {
-            f = !f;
-            std::mem::swap(&mut g, &mut h);
-        }
-        let mut out_c = false;
-        if g.is_complemented() {
-            g = !g;
-            h = !h;
-            out_c = true;
-        }
-        let k1 = f.bits() as u64;
-        let k2 = ((g.bits() as u64) << 32) | h.bits() as u64;
-        if let Some(r) = self.cache.get(k1, k2, TAG_ITE) {
-            return Ok(Edge::from_bits(r as u32).complement_if(out_c));
-        }
-        // Poll on the miss, before materializing (see apply_rec).
-        budget.checkpoint()?;
-        let mut best = self.edge_pos(f);
-        for e in [g, h] {
-            best = best.min(self.edge_pos(e));
-        }
-        let var = self.var_at_pos[best] as u16;
-        let (f1, f0) = self.cofactors(f, var);
-        let (g1, g0) = self.cofactors(g, var);
-        let (h1, h0) = self.cofactors(h, var);
-        let t = self.ite_rec(f1, g1, h1, budget)?;
-        let e = self.ite_rec(f0, g0, h0, budget)?;
-        let r = self.make_node(var, t, e);
-        self.cache.insert(k1, k2, TAG_ITE, r.bits() as u64);
-        Ok(r.complement_if(out_c))
+    let (k1, k2, tag) = (f.bits() as u64, g.bits() as u64, op.table() as u32);
+    if let Some(r) = s.cache_get(k1, k2, tag) {
+        return Ok(r.complement_if(out_c));
     }
+    // Abort-consistency: poll on the miss, *before* building anything.
+    // The cache insert below runs strictly after a successful
+    // make_node, so an abort can never leave the cache pointing at a
+    // node that was never committed.
+    budget.checkpoint()?;
+
+    // Shannon expansion at the top variable (minimal order position).
+    let (pf, pg) = (s.edge_pos(f), s.edge_pos(g));
+    let var = if pf <= pg {
+        s.decode(f.node()).var()
+    } else {
+        s.decode(g.node()).var()
+    };
+    let (f1, f0) = s.cofactors(f, var);
+    let (g1, g0) = s.cofactors(g, var);
+    let t = apply_rec(s, op, f1, g1, budget)?;
+    let e = apply_rec(s, op, f0, g0, budget)?;
+    let r = s.make_node(var, t, e);
+    s.cache_insert(k1, k2, tag, r);
+    Ok(r.complement_if(out_c))
+}
+
+/// If-then-else over any [`NodeSpace`].
+pub(crate) fn ite_rec<S: NodeSpace>(
+    s: &mut S,
+    mut f: Edge,
+    mut g: Edge,
+    mut h: Edge,
+    budget: &mut OpBudget,
+) -> Result<Edge, OpAbort> {
+    s.count(Call::Ite);
+    if f == Edge::ONE {
+        return Ok(g);
+    }
+    if f == Edge::ZERO {
+        return Ok(h);
+    }
+    if g == h {
+        return Ok(g);
+    }
+    if g == Edge::ONE && h == Edge::ZERO {
+        return Ok(f);
+    }
+    if g == Edge::ZERO && h == Edge::ONE {
+        return Ok(!f);
+    }
+    if f == g || g == Edge::ONE {
+        return apply_rec(s, BoolOp::OR, f, h, budget);
+    }
+    if f == !g || g == Edge::ZERO {
+        return apply_rec(s, BoolOp::NOT_AND, f, h, budget);
+    }
+    if f == h || h == Edge::ZERO {
+        return apply_rec(s, BoolOp::AND, f, g, budget);
+    }
+    if f == !h || h == Edge::ONE {
+        return apply_rec(s, BoolOp::IMPLIES, f, g, budget);
+    }
+    if f.is_complemented() {
+        f = !f;
+        std::mem::swap(&mut g, &mut h);
+    }
+    let mut out_c = false;
+    if g.is_complemented() {
+        g = !g;
+        h = !h;
+        out_c = true;
+    }
+    let k1 = f.bits() as u64;
+    let k2 = ((g.bits() as u64) << 32) | h.bits() as u64;
+    if let Some(r) = s.cache_get(k1, k2, TAG_ITE) {
+        return Ok(r.complement_if(out_c));
+    }
+    // Poll on the miss, before materializing (see apply_rec).
+    budget.checkpoint()?;
+    let mut best = s.edge_pos(f);
+    for e in [g, h] {
+        best = best.min(s.edge_pos(e));
+    }
+    let var = s.base().var_at_pos[best] as u16;
+    let (f1, f0) = s.cofactors(f, var);
+    let (g1, g0) = s.cofactors(g, var);
+    let (h1, h0) = s.cofactors(h, var);
+    let t = ite_rec(s, f1, g1, h1, budget)?;
+    let e = ite_rec(s, f0, g0, h0, budget)?;
+    let r = s.make_node(var, t, e);
+    s.cache_insert(k1, k2, TAG_ITE, r);
+    Ok(r.complement_if(out_c))
 }
 
 #[cfg(test)]

@@ -346,79 +346,6 @@ impl Robdd {
         &self.nodes[idx as usize]
     }
 
-    /// Top-based position of the node an edge points to (`usize::MAX` for
-    /// constants, i.e. "below everything").
-    #[inline]
-    pub(crate) fn edge_pos(&self, e: Edge) -> usize {
-        if e.is_constant() {
-            usize::MAX
-        } else {
-            self.pos_of_var[self.node(e.node()).var() as usize] as usize
-        }
-    }
-
-    /// Find-or-create `ite(var, then, else)` with the reduction rule and
-    /// the regular-*then* normalization.
-    pub(crate) fn make_node(&mut self, var: u16, mut then_: Edge, mut else_: Edge) -> Edge {
-        if then_ == else_ {
-            return then_;
-        }
-        let mut out_c = false;
-        if then_.is_complemented() {
-            then_ = !then_;
-            else_ = !else_;
-            out_c = true;
-        }
-        debug_assert!(self.child_below(then_, var) && self.child_below(else_, var));
-        let key = BddKey::new(then_, else_);
-        let nodes = &mut self.nodes;
-        let free = &mut self.free;
-        let mut created = false;
-        let id = self.subtables[var as usize].get_or_insert_with(key, || {
-            created = true;
-            let node = Node::new(var, then_, else_);
-            match free.pop() {
-                Some(id) => {
-                    nodes[id as usize] = node;
-                    id
-                }
-                None => {
-                    nodes.push(node);
-                    (nodes.len() - 1) as u32
-                }
-            }
-        });
-        if created {
-            self.stats.nodes_created += 1;
-            let live = self.live_nodes();
-            if live > self.stats.peak_live_nodes {
-                self.stats.peak_live_nodes = live;
-            }
-            self.note_growth(live);
-        }
-        Edge::new(id, out_c)
-    }
-
-    fn child_below(&self, child: Edge, var: u16) -> bool {
-        child.is_constant()
-            || self.pos_of_var[self.node(child.node()).var() as usize]
-                > self.pos_of_var[var as usize]
-    }
-
-    /// Shannon cofactors of `e` with respect to `var` (which must be at or
-    /// above `e`'s top variable in the order).
-    pub(crate) fn cofactors(&self, e: Edge, var: u16) -> (Edge, Edge) {
-        if e.is_constant() {
-            return (e, e);
-        }
-        let n = self.node(e.node());
-        if n.var() != var {
-            return (e, e);
-        }
-        let c = e.is_complemented();
-        (n.then_().complement_if(c), n.else_().complement_if(c))
-    }
-
     /// The external-root registry shared with every [`crate::RobddFn`]
     /// handle this manager hands out.
     pub(crate) fn root_set(&self) -> &RootSet {
@@ -674,6 +601,156 @@ impl Robdd {
             }
         }
         Ok(())
+    }
+}
+
+/// Which recursion a [`NodeSpace::count`] call reports.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Call {
+    Apply,
+    Ite,
+    Quant,
+}
+
+/// A node space the package's recursions run in. The node algebra below
+/// (`make_node`, the Shannon `cofactors`) and the recursions (`apply_rec`,
+/// `ite_rec`, `quant_rec`, `and_exists_rec`) are written once, generic
+/// over this trait. It has two implementations:
+///
+/// * [`Robdd`] itself: the arena, the per-variable unique tables, the
+///   computed cache and the manager's statistics;
+/// * the per-task worker of [`crate::ParRobdd`]: the frozen base manager
+///   read through `peek`, plus the overlay (sharded table, overlay arena,
+///   atomic cache), counting into the task's call tally.
+pub(crate) trait NodeSpace {
+    /// The manager whose variable order the space follows: the manager
+    /// itself, or a worker's frozen base.
+    fn base(&self) -> &Robdd;
+
+    /// The node stored under `id`.
+    fn decode(&self, id: u32) -> Node;
+
+    /// Find-or-create the node `(var, key)`; returns its id.
+    fn find_or_insert(&mut self, var: u16, key: BddKey) -> u32;
+
+    /// Computed-cache lookup.
+    fn cache_get(&mut self, k1: u64, k2: u64, tag: u32) -> Option<Edge>;
+
+    /// Computed-cache insert.
+    fn cache_insert(&mut self, k1: u64, k2: u64, tag: u32, r: Edge);
+
+    /// Count one recursion entry.
+    fn count(&mut self, call: Call);
+
+    /// Top-based position of the node an edge points to (`usize::MAX` for
+    /// constants, i.e. "below everything").
+    #[inline]
+    fn edge_pos(&self, e: Edge) -> usize {
+        if e.is_constant() {
+            usize::MAX
+        } else {
+            self.base().pos_of_var[self.decode(e.node()).var() as usize] as usize
+        }
+    }
+
+    /// Find-or-create `ite(var, then, else)` with the reduction rule and
+    /// the regular-*then* normalization.
+    fn make_node(&mut self, var: u16, mut then_: Edge, mut else_: Edge) -> Edge {
+        if then_ == else_ {
+            return then_;
+        }
+        let mut out_c = false;
+        if then_.is_complemented() {
+            then_ = !then_;
+            else_ = !else_;
+            out_c = true;
+        }
+        debug_assert!(self.child_below(then_, var) && self.child_below(else_, var));
+        Edge::new(self.find_or_insert(var, BddKey::new(then_, else_)), out_c)
+    }
+
+    /// Does `child` sit strictly below `var` in the order?
+    fn child_below(&self, child: Edge, var: u16) -> bool {
+        self.edge_pos(child) > self.base().pos_of_var[var as usize] as usize
+    }
+
+    /// Shannon cofactors of `e` with respect to `var` (which must be at or
+    /// above `e`'s top variable in the order).
+    fn cofactors(&self, e: Edge, var: u16) -> (Edge, Edge) {
+        if e.is_constant() {
+            return (e, e);
+        }
+        let n = self.decode(e.node());
+        if n.var() != var {
+            return (e, e);
+        }
+        let c = e.is_complemented();
+        (n.then_().complement_if(c), n.else_().complement_if(c))
+    }
+}
+
+/// The sequential node space: nodes are created in the manager's own
+/// arena and tables, growth feeds the statistics and the GC latch.
+impl NodeSpace for Robdd {
+    #[inline]
+    fn base(&self) -> &Robdd {
+        self
+    }
+
+    #[inline]
+    fn decode(&self, id: u32) -> Node {
+        *self.node(id)
+    }
+
+    fn find_or_insert(&mut self, var: u16, key: BddKey) -> u32 {
+        let nodes = &mut self.nodes;
+        let free = &mut self.free;
+        let mut created = false;
+        let id = self.subtables[var as usize].get_or_insert_with(key, || {
+            created = true;
+            let node = Node::new(var, key.then_(), key.else_());
+            match free.pop() {
+                Some(id) => {
+                    nodes[id as usize] = node;
+                    id
+                }
+                None => {
+                    nodes.push(node);
+                    (nodes.len() - 1) as u32
+                }
+            }
+        });
+        if created {
+            self.stats.nodes_created += 1;
+            let live = self.live_nodes();
+            if live > self.stats.peak_live_nodes {
+                self.stats.peak_live_nodes = live;
+            }
+            self.note_growth(live);
+        }
+        id
+    }
+
+    #[inline]
+    fn cache_get(&mut self, k1: u64, k2: u64, tag: u32) -> Option<Edge> {
+        self.cache
+            .get(k1, k2, tag)
+            .map(|r| Edge::from_bits(r as u32))
+    }
+
+    #[inline]
+    fn cache_insert(&mut self, k1: u64, k2: u64, tag: u32, r: Edge) {
+        self.cache.insert(k1, k2, tag, u64::from(r.bits()));
+    }
+
+    /// `ite` entries count as `apply_calls` (the ROBDD statistics keep one
+    /// counter for both).
+    #[inline]
+    fn count(&mut self, call: Call) {
+        match call {
+            Call::Apply | Call::Ite => self.stats.apply_calls += 1,
+            Call::Quant => self.stats.quant_calls += 1,
+        }
     }
 }
 

@@ -44,6 +44,23 @@ impl Node {
     }
 
     /// The high (`var = 1`) child — always a regular edge.
+    /// The node from its three storage words (as kept by the parallel
+    /// overlay arena).
+    #[inline]
+    pub(crate) fn from_words(then_bits: u32, else_bits: u32, meta: u32) -> Self {
+        Node {
+            then_bits,
+            else_bits,
+            meta,
+        }
+    }
+
+    /// The three storage words: *then*-edge, *else*-edge, meta.
+    #[inline]
+    pub(crate) fn words(&self) -> (u32, u32, u32) {
+        (self.then_bits, self.else_bits, self.meta)
+    }
+
     #[inline]
     pub(crate) fn then_(&self) -> Edge {
         Edge::from_bits(self.then_bits)
@@ -105,6 +122,16 @@ impl BddKey {
     pub(crate) fn new(then_: Edge, else_: Edge) -> Self {
         debug_assert!(!then_.is_complemented(), "canonical then-edges are regular");
         BddKey(((then_.bits() as u64) << 32) | else_.bits() as u64)
+    }
+
+    #[inline]
+    pub(crate) fn then_(self) -> Edge {
+        Edge::from_bits((self.0 >> 32) as u32)
+    }
+
+    #[inline]
+    pub(crate) fn else_(self) -> Edge {
+        Edge::from_bits(self.0 as u32)
     }
 }
 

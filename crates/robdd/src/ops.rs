@@ -3,7 +3,7 @@
 //! suite lives in `quant.rs` (the verification ops layer).
 
 use crate::edge::Edge;
-use crate::manager::Robdd;
+use crate::manager::{NodeSpace, Robdd};
 use ddcore::govern::{OpAbort, OpBudget};
 use std::collections::{HashMap, HashSet};
 

@@ -5,21 +5,25 @@
 //! BBDD `par` module for the full determinism argument):
 //!
 //! 1. **split** the recursion at the top k order positions (sequential),
-//! 2. run the leaf subproblems **fork-join** over the frozen base manager,
-//!    materializing result nodes in a canonical overlay (sharded unique
-//!    table with base-consulting `peek`, append-only arena, lossy atomic
-//!    computed cache),
+//! 2. run the leaf subproblems **fork-join** over the frozen base manager:
+//!    each task runs the package's own recursion (the `apply_rec`/
+//!    `ite_rec`/`quant_rec`/`and_exists_rec` and `make_node` the
+//!    sequential [`Robdd`] runs, generic over the crate's node-space
+//!    trait) over the *overlay node space*, materializing result nodes in
+//!    a canonical overlay (sharded unique table with base-consulting
+//!    `peek`, append-only arena, lossy atomic computed cache),
 //! 3. **commit** deterministically: import the leaf results through the
 //!    ordinary `make_node` and resolve the recorded combine tree.
 //!
 //! Results — every returned edge and every node id in the wrapped
 //! manager — are bit-identical regardless of the thread count.
 
+use crate::apply::{apply_rec, ite_rec, unary};
 use crate::edge::Edge;
-
-use crate::manager::{Robdd, RobddStats};
-use crate::node::BddKey;
-use ddcore::boolop::{BoolOp, Unary};
+use crate::manager::{Call, NodeSpace, Robdd, RobddStats};
+use crate::node::{BddKey, Node};
+use crate::quant::{and_exists_rec, quant_rec, QuantCtx};
+use ddcore::boolop::BoolOp;
 use ddcore::cantor::CantorHasher;
 use ddcore::fxhash::{FxHashMap, FxHashSet};
 use ddcore::govern::{OpAbort, OpBudget};
@@ -32,42 +36,23 @@ use ddcore::session::OverlayFrame;
 use ddcore::table::TableKey;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Sharded-overlay key: the per-variable [`BddKey`] contents plus the
-/// variable itself (the base keeps one table per variable; the overlay is
-/// one key space).
+/// Sharded-overlay key: the per-variable [`BddKey`] plus the variable
+/// itself (the base keeps one table per variable; the overlay is one key
+/// space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct VarKey {
     var: u16,
-    then_bits: u32,
-    else_bits: u32,
+    key: BddKey,
 }
 
 impl TableKey for VarKey {
     fn table_hash(&self, h: &CantorHasher) -> u64 {
         h.hash3(
-            u64::from(self.then_bits),
-            u64::from(self.else_bits),
+            u64::from(self.key.then_().bits()),
+            u64::from(self.key.else_().bits()),
             u64::from(self.var),
         )
     }
-}
-
-/// Structural view of a node in the frozen-base + overlay space.
-#[derive(Clone, Copy)]
-struct PNode {
-    then_: Edge,
-    else_: Edge,
-    var: u16,
-}
-
-/// Cube-quantification context (mirror of the sequential `QuantCtx`).
-#[derive(Debug, Clone)]
-struct PQuant {
-    in_cube: Vec<bool>,
-    max_pos: usize,
-    cube_bits: u64,
-    combine: BoolOp,
-    tag: u32,
 }
 
 /// A deduplicated leaf subproblem of the split phase.
@@ -100,15 +85,6 @@ enum Plan {
     },
 }
 
-fn unary(u: Unary, x: Edge) -> Edge {
-    match u {
-        Unary::Zero => Edge::ZERO,
-        Unary::One => Edge::ONE,
-        Unary::Identity => x,
-        Unary::Complement => !x,
-    }
-}
-
 /// The read-only worker context: frozen base + overlay storage.
 struct PCtx<'a> {
     base: &'a Robdd,
@@ -116,299 +92,86 @@ struct PCtx<'a> {
     table: &'a ShardedTable<VarKey>,
     arena: &'a OverlayArena,
     cache: &'a AtomicCache,
-    quant: Option<&'a PQuant>,
+    quant: Option<&'a QuantCtx>,
 }
 
 impl PCtx<'_> {
+    /// Run one leaf task through the package's own recursion, over this
+    /// task's view of the overlay node space. Returns the result edge and
+    /// the recursion entries it took. Workers stop only between tasks, so
+    /// the recursion itself runs unbudgeted.
+    fn run_task(&self, t: &Task) -> (Edge, u64) {
+        let mut w = Worker {
+            ctx: self,
+            calls: 0,
+        };
+        let budget = &mut OpBudget::unlimited();
+        let r = match *t {
+            Task::Apply(op, f, g) => apply_rec(&mut w, op, f, g, budget),
+            Task::Ite(f, g, h) => ite_rec(&mut w, f, g, h, budget),
+            Task::Quant(f) => {
+                let q = self.quant.expect("quant task without quant context");
+                quant_rec(&mut w, f, q, budget)
+            }
+            Task::AndExists(f, g) => {
+                let q = self.quant.expect("and-exists task without quant context");
+                and_exists_rec(&mut w, f, g, q, budget)
+            }
+        };
+        (r.expect("unlimited budget never aborts"), w.calls)
+    }
+}
+
+/// One task's node space: the frozen base plus the shared overlay.
+struct Worker<'c, 'a> {
+    ctx: &'c PCtx<'a>,
+    /// Recursion entries of this task (all kinds).
+    calls: u64,
+}
+
+impl NodeSpace for Worker<'_, '_> {
     #[inline]
-    fn pnode(&self, id: u32) -> PNode {
-        if id < self.base_len {
-            let n = &self.base.nodes[id as usize];
-            PNode {
-                then_: n.then_(),
-                else_: n.else_(),
-                var: n.var(),
-            }
-        } else {
-            let (a, b, meta) = self.arena.get(id - self.base_len);
-            PNode {
-                then_: Edge::from_bits(a),
-                else_: Edge::from_bits(b),
-                var: meta as u16,
-            }
-        }
+    fn base(&self) -> &Robdd {
+        self.ctx.base
     }
 
     #[inline]
-    fn edge_pos(&self, e: Edge) -> usize {
-        if e.is_constant() {
-            usize::MAX
+    fn decode(&self, id: u32) -> Node {
+        let c = self.ctx;
+        if id < c.base_len {
+            *c.base.node(id)
         } else {
-            self.base.pos_of_var[self.pnode(e.node()).var as usize] as usize
+            let (a, b, meta) = c.arena.get(id - c.base_len);
+            Node::from_words(a, b, meta)
         }
     }
 
     /// Find-or-create in the canonical frozen-base + overlay space (base
     /// `peek` first, then one shard lock).
-    fn find_or_insert(&self, var: u16, then_: Edge, else_: Edge) -> u32 {
-        let key = BddKey::new(then_, else_);
-        if let Some(id) = self.base.subtables[var as usize].peek(&key) {
+    fn find_or_insert(&mut self, var: u16, key: BddKey) -> u32 {
+        let c = self.ctx;
+        if let Some(id) = c.base.subtables[var as usize].peek(&key) {
             return id;
         }
-        let vk = VarKey {
-            var,
-            then_bits: then_.bits(),
-            else_bits: else_.bits(),
-        };
-        self.table.get_or_insert_with(vk, || {
-            self.base_len + self.arena.alloc(then_.bits(), else_.bits(), u32::from(var))
+        c.table.get_or_insert_with(VarKey { var, key }, || {
+            let (a, b, meta) = Node::new(var, key.then_(), key.else_()).words();
+            c.base_len + c.arena.alloc(a, b, meta)
         })
     }
 
-    /// Mirror of [`Robdd::make_node`] (redundancy rule + regular-*then*
-    /// normalization).
-    fn make_node(&self, var: u16, mut then_: Edge, mut else_: Edge) -> Edge {
-        if then_ == else_ {
-            return then_;
-        }
-        let mut out_c = false;
-        if then_.is_complemented() {
-            then_ = !then_;
-            else_ = !else_;
-            out_c = true;
-        }
-        Edge::new(self.find_or_insert(var, then_, else_), out_c)
+    #[inline]
+    fn cache_get(&mut self, k1: u64, k2: u64, tag: u32) -> Option<Edge> {
+        self.ctx.cache.get(k1, k2, tag).map(Edge::from_bits)
     }
 
-    /// Mirror of the manager's Shannon cofactors (pure reads).
-    fn cofactors(&self, e: Edge, var: u16) -> (Edge, Edge) {
-        if e.is_constant() {
-            return (e, e);
-        }
-        let n = self.pnode(e.node());
-        if n.var != var {
-            return (e, e);
-        }
-        let c = e.is_complemented();
-        (n.then_.complement_if(c), n.else_.complement_if(c))
+    #[inline]
+    fn cache_insert(&mut self, k1: u64, k2: u64, tag: u32, r: Edge) {
+        self.ctx.cache.insert(k1, k2, tag, r.bits());
     }
 
-    /// Worker-side mirror of the manager's `apply_rec`.
-    fn apply_rec(&self, mut op: BoolOp, mut f: Edge, mut g: Edge, calls: &mut u64) -> Edge {
-        *calls += 1;
-        if f == g {
-            return unary(op.on_equal_operands(), f);
-        }
-        if f == !g {
-            return unary(op.on_complement_operands(), f);
-        }
-        if f.is_constant() {
-            return unary(op.on_first_const(f == Edge::ONE), g);
-        }
-        if g.is_constant() {
-            return unary(op.on_second_const(g == Edge::ONE), f);
-        }
-        if f.is_complemented() {
-            f = !f;
-            op = op.complement_first();
-        }
-        if g.is_complemented() {
-            g = !g;
-            op = op.complement_second();
-        }
-        if f.node() > g.node() {
-            std::mem::swap(&mut f, &mut g);
-            op = op.swap_operands();
-        }
-        let mut out_c = false;
-        if op.eval(false, false) {
-            op = op.complement_output();
-            out_c = true;
-        }
-        if op == BoolOp::FALSE {
-            return Edge::ZERO.complement_if(out_c);
-        }
-        if op == BoolOp::FIRST {
-            return f.complement_if(out_c);
-        }
-        if op == BoolOp::SECOND {
-            return g.complement_if(out_c);
-        }
-        let (k1, k2, tag) = (
-            u64::from(f.bits()),
-            u64::from(g.bits()),
-            u32::from(op.table()),
-        );
-        if let Some(r) = self.cache.get(k1, k2, tag) {
-            return Edge::from_bits(r).complement_if(out_c);
-        }
-        let (pf, pg) = (self.edge_pos(f), self.edge_pos(g));
-        let var = if pf <= pg {
-            self.pnode(f.node()).var
-        } else {
-            self.pnode(g.node()).var
-        };
-        let (f1, f0) = self.cofactors(f, var);
-        let (g1, g0) = self.cofactors(g, var);
-        let t = self.apply_rec(op, f1, g1, calls);
-        let e = self.apply_rec(op, f0, g0, calls);
-        let r = self.make_node(var, t, e);
-        self.cache.insert(k1, k2, tag, r.bits());
-        r.complement_if(out_c)
-    }
-
-    /// Worker-side mirror of the manager's `ite_rec`.
-    fn ite_rec(&self, mut f: Edge, mut g: Edge, mut h: Edge, calls: &mut u64) -> Edge {
-        *calls += 1;
-        if f == Edge::ONE {
-            return g;
-        }
-        if f == Edge::ZERO {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        if g == Edge::ONE && h == Edge::ZERO {
-            return f;
-        }
-        if g == Edge::ZERO && h == Edge::ONE {
-            return !f;
-        }
-        if f == g || g == Edge::ONE {
-            return self.apply_rec(BoolOp::OR, f, h, calls);
-        }
-        if f == !g || g == Edge::ZERO {
-            return self.apply_rec(BoolOp::NOT_AND, f, h, calls);
-        }
-        if f == h || h == Edge::ZERO {
-            return self.apply_rec(BoolOp::AND, f, g, calls);
-        }
-        if f == !h || h == Edge::ONE {
-            return self.apply_rec(BoolOp::IMPLIES, f, g, calls);
-        }
-        if f.is_complemented() {
-            f = !f;
-            std::mem::swap(&mut g, &mut h);
-        }
-        let mut out_c = false;
-        if g.is_complemented() {
-            g = !g;
-            h = !h;
-            out_c = true;
-        }
-        let k1 = u64::from(f.bits());
-        let k2 = (u64::from(g.bits()) << 32) | u64::from(h.bits());
-        if let Some(r) = self.cache.get(k1, k2, optag::ITE) {
-            return Edge::from_bits(r).complement_if(out_c);
-        }
-        let mut best = self.edge_pos(f);
-        for e in [g, h] {
-            best = best.min(self.edge_pos(e));
-        }
-        let var = self.base.var_at_pos[best] as u16;
-        let (f1, f0) = self.cofactors(f, var);
-        let (g1, g0) = self.cofactors(g, var);
-        let (h1, h0) = self.cofactors(h, var);
-        let t = self.ite_rec(f1, g1, h1, calls);
-        let e = self.ite_rec(f0, g0, h0, calls);
-        let r = self.make_node(var, t, e);
-        self.cache.insert(k1, k2, optag::ITE, r.bits());
-        r.complement_if(out_c)
-    }
-
-    /// Worker-side mirror of the manager's cube quantification.
-    fn quant_rec(&self, f: Edge, q: &PQuant, calls: &mut u64) -> Edge {
-        if f.is_constant() || self.edge_pos(f) > q.max_pos {
-            return f;
-        }
-        *calls += 1;
-        let (k1, k2) = (u64::from(f.bits()), q.cube_bits);
-        if let Some(r) = self.cache.get(k1, k2, q.tag) {
-            return Edge::from_bits(r);
-        }
-        let var = self.pnode(f.node()).var;
-        let (f1, f0) = self.cofactors(f, var);
-        let r = if q.in_cube[var as usize] {
-            let a = self.quant_rec(f1, q, calls);
-            let absorbing = if q.tag == optag::EXISTS {
-                Edge::ONE
-            } else {
-                Edge::ZERO
-            };
-            if a == absorbing {
-                absorbing
-            } else {
-                let b = self.quant_rec(f0, q, calls);
-                self.apply_rec(q.combine, a, b, calls)
-            }
-        } else {
-            let a = self.quant_rec(f1, q, calls);
-            let b = self.quant_rec(f0, q, calls);
-            self.make_node(var, a, b)
-        };
-        self.cache.insert(k1, k2, q.tag, r.bits());
-        r
-    }
-
-    /// Worker-side mirror of the manager's fused `and_exists`.
-    fn and_exists_rec(&self, f: Edge, g: Edge, q: &PQuant, calls: &mut u64) -> Edge {
-        if f == Edge::ZERO || g == Edge::ZERO || f == !g {
-            return Edge::ZERO;
-        }
-        if f == Edge::ONE {
-            return self.quant_rec(g, q, calls);
-        }
-        if g == Edge::ONE || f == g {
-            return self.quant_rec(f, q, calls);
-        }
-        let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
-        let (pf, pg) = (self.edge_pos(f), self.edge_pos(g));
-        let pos = pf.min(pg);
-        if pos > q.max_pos {
-            return self.apply_rec(BoolOp::AND, f, g, calls);
-        }
-        *calls += 1;
-        let k1 = u64::from(f.bits());
-        let k2 = (u64::from(g.bits()) << 32) | q.cube_bits;
-        if let Some(r) = self.cache.get(k1, k2, optag::AND_EXISTS) {
-            return Edge::from_bits(r);
-        }
-        let var = self.base.var_at_pos[pos] as u16;
-        let (f1, f0) = self.cofactors(f, var);
-        let (g1, g0) = self.cofactors(g, var);
-        let r = if q.in_cube[var as usize] {
-            let a = self.and_exists_rec(f1, g1, q, calls);
-            if a == Edge::ONE {
-                Edge::ONE
-            } else {
-                let b = self.and_exists_rec(f0, g0, q, calls);
-                self.apply_rec(BoolOp::OR, a, b, calls)
-            }
-        } else {
-            let a = self.and_exists_rec(f1, g1, q, calls);
-            let b = self.and_exists_rec(f0, g0, q, calls);
-            self.make_node(var, a, b)
-        };
-        self.cache.insert(k1, k2, optag::AND_EXISTS, r.bits());
-        r
-    }
-
-    fn run_task(&self, t: &Task) -> (Edge, u64) {
-        let mut calls = 0u64;
-        let r = match *t {
-            Task::Apply(op, f, g) => self.apply_rec(op, f, g, &mut calls),
-            Task::Ite(f, g, h) => self.ite_rec(f, g, h, &mut calls),
-            Task::Quant(f) => {
-                let q = self.quant.expect("quant task without quant context");
-                self.quant_rec(f, q, &mut calls)
-            }
-            Task::AndExists(f, g) => {
-                let q = self.quant.expect("and-exists task without quant context");
-                self.and_exists_rec(f, g, q, &mut calls)
-            }
-        };
-        (r, calls)
+    #[inline]
+    fn count(&mut self, _call: Call) {
+        self.calls += 1;
     }
 }
 
@@ -712,7 +475,7 @@ impl ParRobdd {
             self.stats.ops_sequential += 1;
             return self.inner.and_exists(f, g, vars);
         }
-        let Some(q) = self.build_quant(vars, BoolOp::OR, optag::EXISTS) else {
+        let Some(q) = self.inner.quant_ctx(vars, BoolOp::OR, optag::EXISTS) else {
             return self.apply(BoolOp::AND, f, g);
         };
         let depth = self.split_depth();
@@ -837,7 +600,7 @@ impl ParRobdd {
             self.stats.ops_sequential += 1;
             return self.inner.try_and_exists(f, g, vars, budget);
         }
-        let Some(q) = self.build_quant(vars, BoolOp::OR, optag::EXISTS) else {
+        let Some(q) = self.inner.quant_ctx(vars, BoolOp::OR, optag::EXISTS) else {
             return self.try_apply(BoolOp::AND, f, g, budget);
         };
         let depth = self.split_depth();
@@ -898,7 +661,7 @@ impl ParRobdd {
                 self.inner.try_forall(f, vars, budget)
             };
         }
-        let Some(q) = self.build_quant(vars, combine, tag) else {
+        let Some(q) = self.inner.quant_ctx(vars, combine, tag) else {
             return Ok(f);
         };
         let depth = self.split_depth();
@@ -917,7 +680,7 @@ impl ParRobdd {
                 self.inner.forall(f, vars)
             };
         }
-        let Some(q) = self.build_quant(vars, combine, tag) else {
+        let Some(q) = self.inner.quant_ctx(vars, combine, tag) else {
             return f;
         };
         let depth = self.split_depth();
@@ -970,38 +733,6 @@ impl ParRobdd {
                 (t.trailing_zeros() as u16 + 3).min(12)
             }
         }
-    }
-
-    /// Mirror of the sequential `quant_ctx` (cube built pre-freeze).
-    fn build_quant(&mut self, vars: &[usize], combine: BoolOp, tag: u32) -> Option<PQuant> {
-        let n = self.inner.num_vars();
-        let mut in_cube = vec![false; n];
-        let mut any = false;
-        for &v in vars {
-            assert!(v < n, "quantified variable {v} out of range");
-            in_cube[v] = true;
-            any = true;
-        }
-        if !any {
-            return None;
-        }
-        let max_pos = (0..n)
-            .filter(|&v| in_cube[v])
-            .map(|v| self.inner.pos_of_var[v] as usize)
-            .max()
-            .expect("cube is non-empty");
-        let mut cube = Edge::ONE;
-        for v in (0..n).filter(|&v| in_cube[v]) {
-            let lit = self.inner.var(v);
-            cube = self.inner.and(cube, lit);
-        }
-        Some(PQuant {
-            in_cube,
-            max_pos,
-            cube_bits: u64::from(cube.bits()),
-            combine,
-            tag,
-        })
     }
 
     fn intern_task(
@@ -1127,7 +858,7 @@ impl ParRobdd {
     fn split_quant(
         &mut self,
         f: Edge,
-        q: &PQuant,
+        q: &QuantCtx,
         depth: u16,
         tasks: &mut Vec<Task>,
         dedup: &mut FxHashMap<(u32, u64, u64), usize>,
@@ -1159,7 +890,7 @@ impl ParRobdd {
         &mut self,
         f: Edge,
         g: Edge,
-        q: &PQuant,
+        q: &QuantCtx,
         depth: u16,
         tasks: &mut Vec<Task>,
         dedup: &mut FxHashMap<(u32, u64, u64), usize>,
@@ -1206,7 +937,7 @@ impl ParRobdd {
 
     /// Phases 2 + 3: fork-join the leaf tasks over the frozen base, then
     /// commit deterministically (import + combine).
-    fn execute(&mut self, plan: &Plan, tasks: &[Task], quant: Option<&PQuant>) -> Edge {
+    fn execute(&mut self, plan: &Plan, tasks: &[Task], quant: Option<&QuantCtx>) -> Edge {
         // Catch any inner-manager collection this wrapper did not perform
         // itself before trusting id-keyed cache entries.
         self.sync_cache_epoch();
@@ -1320,7 +1051,7 @@ impl ParRobdd {
         &mut self,
         plan: &Plan,
         tasks: &[Task],
-        quant: Option<&PQuant>,
+        quant: Option<&QuantCtx>,
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
         self.sync_cache_epoch();

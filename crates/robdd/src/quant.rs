@@ -10,27 +10,29 @@
 //! Shannon-expansion forms (CUDD-style); the BBDD package documents the
 //! chain-specific differences.
 
+use crate::apply::{apply_rec, ite_rec};
 use crate::edge::Edge;
-use crate::manager::Robdd;
+use crate::manager::{Call, NodeSpace, Robdd};
 use ddcore::boolop::BoolOp;
 use ddcore::fxhash::FxHashMap;
 use ddcore::govern::{OpAbort, OpBudget};
 use ddcore::nary::NaryOp;
 use ddcore::optag;
 
-/// Immutable context shared by one cube-quantification run.
-struct QuantCtx {
+/// Immutable context shared by one cube-quantification run (sequential,
+/// or every worker task of one parallel operation).
+pub(crate) struct QuantCtx {
     /// `in_cube[v]` — is variable `v` quantified?
-    in_cube: Vec<bool>,
+    pub(crate) in_cube: Vec<bool>,
     /// Largest top-based order position among quantified variables; nodes
     /// strictly below (larger position means deeper) cannot change.
-    max_pos: usize,
+    pub(crate) max_pos: usize,
     /// Cache key word: packed edge of the cube's literal conjunction.
-    cube_bits: u64,
+    pub(crate) cube_bits: u64,
     /// `OR` for `∃`, `AND` for `∀`.
-    combine: BoolOp,
+    pub(crate) combine: BoolOp,
     /// [`optag::EXISTS`] or [`optag::FORALL`].
-    tag: u32,
+    pub(crate) tag: u32,
 }
 
 impl Robdd {
@@ -67,7 +69,7 @@ impl Robdd {
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
         match self.quant_ctx(vars, BoolOp::OR, optag::EXISTS) {
-            Some(ctx) => self.quant_rec(f, &ctx, budget),
+            Some(ctx) => quant_rec(self, f, &ctx, budget),
             None => Ok(f),
         }
     }
@@ -103,7 +105,7 @@ impl Robdd {
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
         match self.quant_ctx(vars, BoolOp::AND, optag::FORALL) {
-            Some(ctx) => self.quant_rec(f, &ctx, budget),
+            Some(ctx) => quant_rec(self, f, &ctx, budget),
             None => Ok(f),
         }
     }
@@ -144,12 +146,18 @@ impl Robdd {
         budget: &mut OpBudget,
     ) -> Result<Edge, OpAbort> {
         match self.quant_ctx(vars, BoolOp::OR, optag::EXISTS) {
-            Some(ctx) => self.and_exists_rec(f, g, &ctx, budget),
-            None => self.apply_rec(BoolOp::AND, f, g, budget),
+            Some(ctx) => and_exists_rec(self, f, g, &ctx, budget),
+            None => apply_rec(self, BoolOp::AND, f, g, budget),
         }
     }
 
-    fn quant_ctx(&mut self, vars: &[usize], combine: BoolOp, tag: u32) -> Option<QuantCtx> {
+    /// Build the quantification context, or `None` for an empty cube.
+    pub(crate) fn quant_ctx(
+        &mut self,
+        vars: &[usize],
+        combine: BoolOp,
+        tag: u32,
+    ) -> Option<QuantCtx> {
         let n = self.num_vars();
         let mut in_cube = vec![false; n];
         let mut any = false;
@@ -178,97 +186,6 @@ impl Robdd {
             combine,
             tag,
         })
-    }
-
-    fn quant_rec(
-        &mut self,
-        f: Edge,
-        ctx: &QuantCtx,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        if f.is_constant() || self.edge_pos(f) > ctx.max_pos {
-            return Ok(f); // below every quantified variable
-        }
-        self.stats.quant_calls += 1;
-        let (k1, k2) = (f.bits() as u64, ctx.cube_bits);
-        if let Some(r) = self.cache.get(k1, k2, ctx.tag) {
-            return Ok(Edge::from_bits(r as u32));
-        }
-        // Poll on the miss, before materializing (see apply_rec).
-        budget.checkpoint()?;
-        let var = self.node(f.node()).var();
-        let (f1, f0) = self.cofactors(f, var);
-        let r = if ctx.in_cube[var as usize] {
-            let a = self.quant_rec(f1, ctx, budget)?;
-            let absorbing = if ctx.tag == optag::EXISTS {
-                Edge::ONE
-            } else {
-                Edge::ZERO
-            };
-            if a == absorbing {
-                absorbing
-            } else {
-                let b = self.quant_rec(f0, ctx, budget)?;
-                self.apply_rec(ctx.combine, a, b, budget)?
-            }
-        } else {
-            let a = self.quant_rec(f1, ctx, budget)?;
-            let b = self.quant_rec(f0, ctx, budget)?;
-            self.make_node(var, a, b)
-        };
-        self.cache.insert(k1, k2, ctx.tag, r.bits() as u64);
-        Ok(r)
-    }
-
-    fn and_exists_rec(
-        &mut self,
-        f: Edge,
-        g: Edge,
-        ctx: &QuantCtx,
-        budget: &mut OpBudget,
-    ) -> Result<Edge, OpAbort> {
-        if f == Edge::ZERO || g == Edge::ZERO || f == !g {
-            return Ok(Edge::ZERO);
-        }
-        if f == Edge::ONE {
-            return self.quant_rec(g, ctx, budget);
-        }
-        if g == Edge::ONE || f == g {
-            return self.quant_rec(f, ctx, budget);
-        }
-        let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
-        let (pf, pg) = (self.edge_pos(f), self.edge_pos(g));
-        let pos = pf.min(pg);
-        if pos > ctx.max_pos {
-            return self.apply_rec(BoolOp::AND, f, g, budget);
-        }
-        self.stats.quant_calls += 1;
-        let k1 = f.bits() as u64;
-        let k2 = ((g.bits() as u64) << 32) | ctx.cube_bits;
-        if let Some(r) = self.cache.get(k1, k2, optag::AND_EXISTS) {
-            return Ok(Edge::from_bits(r as u32));
-        }
-        // Poll on the miss, before materializing (see apply_rec).
-        budget.checkpoint()?;
-        let var = self.var_at_pos[pos] as u16;
-        let (f1, f0) = self.cofactors(f, var);
-        let (g1, g0) = self.cofactors(g, var);
-        let r = if ctx.in_cube[var as usize] {
-            let a = self.and_exists_rec(f1, g1, ctx, budget)?;
-            if a == Edge::ONE {
-                Edge::ONE
-            } else {
-                let b = self.and_exists_rec(f0, g0, ctx, budget)?;
-                self.apply_rec(BoolOp::OR, a, b, budget)?
-            }
-        } else {
-            let a = self.and_exists_rec(f1, g1, ctx, budget)?;
-            let b = self.and_exists_rec(f0, g0, ctx, budget)?;
-            self.make_node(var, a, b)
-        };
-        self.cache
-            .insert(k1, k2, optag::AND_EXISTS, r.bits() as u64);
-        Ok(r)
     }
 
     /// Substitute `var := g` in `f` (Boolean composition), computed by the
@@ -332,12 +249,12 @@ impl Robdd {
         let c = f.is_complemented();
         let (f1, f0) = (n.then_().complement_if(c), n.else_().complement_if(c));
         let r = if n.var() == var {
-            self.ite_rec(g, f1, f0, budget)?
+            ite_rec(self, g, f1, f0, budget)?
         } else {
             let t = self.compose_rec(f1, var, g, budget)?;
             let e = self.compose_rec(f0, var, g, budget)?;
             let lit = self.var(n.var() as usize);
-            self.ite_rec(lit, t, e, budget)?
+            ite_rec(self, lit, t, e, budget)?
         };
         self.cache.insert(k1, k2, optag::COMPOSE, r.bits() as u64);
         Ok(r)
@@ -568,6 +485,98 @@ impl Robdd {
         self.all_sat_rec(n.else_().complement_if(c), partial, limit, out);
         partial[v] = None;
     }
+}
+
+/// Cube quantification over any [`NodeSpace`].
+pub(crate) fn quant_rec<S: NodeSpace>(
+    s: &mut S,
+    f: Edge,
+    ctx: &QuantCtx,
+    budget: &mut OpBudget,
+) -> Result<Edge, OpAbort> {
+    if f.is_constant() || s.edge_pos(f) > ctx.max_pos {
+        return Ok(f); // below every quantified variable
+    }
+    s.count(Call::Quant);
+    let (k1, k2) = (f.bits() as u64, ctx.cube_bits);
+    if let Some(r) = s.cache_get(k1, k2, ctx.tag) {
+        return Ok(r);
+    }
+    // Poll on the miss, before materializing (see apply_rec).
+    budget.checkpoint()?;
+    let var = s.decode(f.node()).var();
+    let (f1, f0) = s.cofactors(f, var);
+    let r = if ctx.in_cube[var as usize] {
+        let a = quant_rec(s, f1, ctx, budget)?;
+        let absorbing = if ctx.tag == optag::EXISTS {
+            Edge::ONE
+        } else {
+            Edge::ZERO
+        };
+        if a == absorbing {
+            absorbing
+        } else {
+            let b = quant_rec(s, f0, ctx, budget)?;
+            apply_rec(s, ctx.combine, a, b, budget)?
+        }
+    } else {
+        let a = quant_rec(s, f1, ctx, budget)?;
+        let b = quant_rec(s, f0, ctx, budget)?;
+        s.make_node(var, a, b)
+    };
+    s.cache_insert(k1, k2, ctx.tag, r);
+    Ok(r)
+}
+
+/// The fused `∃ C . (f ∧ g)` over any [`NodeSpace`].
+pub(crate) fn and_exists_rec<S: NodeSpace>(
+    s: &mut S,
+    f: Edge,
+    g: Edge,
+    ctx: &QuantCtx,
+    budget: &mut OpBudget,
+) -> Result<Edge, OpAbort> {
+    if f == Edge::ZERO || g == Edge::ZERO || f == !g {
+        return Ok(Edge::ZERO);
+    }
+    if f == Edge::ONE {
+        return quant_rec(s, g, ctx, budget);
+    }
+    if g == Edge::ONE || f == g {
+        return quant_rec(s, f, ctx, budget);
+    }
+    let (f, g) = if f.bits() <= g.bits() { (f, g) } else { (g, f) };
+    let (pf, pg) = (s.edge_pos(f), s.edge_pos(g));
+    let pos = pf.min(pg);
+    if pos > ctx.max_pos {
+        return apply_rec(s, BoolOp::AND, f, g, budget);
+    }
+    s.count(Call::Quant);
+    let k1 = f.bits() as u64;
+    let k2 = ((g.bits() as u64) << 32) | ctx.cube_bits;
+    if let Some(r) = s.cache_get(k1, k2, optag::AND_EXISTS) {
+        return Ok(r);
+    }
+    // Poll on the miss, before materializing (see apply_rec).
+    budget.checkpoint()?;
+    let var = s.base().var_at_pos[pos] as u16;
+    let (f1, f0) = s.cofactors(f, var);
+    let (g1, g0) = s.cofactors(g, var);
+    let r = if ctx.in_cube[var as usize] {
+        let a = and_exists_rec(s, f1, g1, ctx, budget)?;
+        if a == Edge::ONE {
+            Edge::ONE
+        } else {
+            let b = and_exists_rec(s, f0, g0, ctx, budget)?;
+            apply_rec(s, BoolOp::OR, a, b, budget)?
+        }
+    } else {
+        let a = and_exists_rec(s, f1, g1, ctx, budget)?;
+        let b = and_exists_rec(s, f0, g0, ctx, budget)?;
+        s.make_node(var, a, b)
+    };
+    s.cache_insert(k1, k2, optag::AND_EXISTS, r);
+    Ok(r)
 }
 
 #[cfg(test)]

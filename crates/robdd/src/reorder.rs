@@ -8,7 +8,7 @@
 //! pair-affinity analogue) and keeps the historical `sift*` entry points
 //! as thin wrappers.
 
-use crate::manager::Robdd;
+use crate::manager::{NodeSpace, Robdd};
 use crate::node::Node;
 use ddcore::dvo::{DvoStrategy, FullSift, ReorderBackend, ReorderStrategy};
 use ddcore::govern::{OpAbort, OpBudget};

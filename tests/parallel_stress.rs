@@ -171,41 +171,85 @@ fn parrobdd_netlist_roots_bit_identical_across_thread_counts() {
     }
 }
 
-/// Parallel quantification over netlist outputs: thread-count invariant
-/// and equal to the sequential managers' results.
-#[test]
-fn parallel_quantification_matches_sequential_on_netlists() {
-    let net = random_network(23, 10, 120);
-    let vars: Vec<usize> = (0..net.num_inputs()).filter(|v| v % 2 == 0).collect();
-    let seq = BbddManager::with_vars(net.num_inputs());
-    let seq_roots = build_network(&seq, &net);
-    let seq_ex: Vec<bbdd::BbddFn> = seq_roots.iter().map(|r| r.exists(&vars)).collect();
-    let mut reference: Option<Vec<bbdd::Edge>> = None;
+/// Each output's `∃ vars`, `∀ vars`, and the fused `∃ vars . (o ∧ o')`
+/// with the next output `o'`.
+fn quantify_outputs<F: BooleanFunction>(roots: &[F], vars: &[usize]) -> Vec<F> {
+    let mut out = Vec::new();
+    for (k, r) in roots.iter().enumerate() {
+        out.push(r.exists(vars));
+        out.push(r.forall(vars));
+        out.push(r.and_exists(&roots[(k + 1) % roots.len()], vars));
+    }
+    out
+}
+
+/// Parallel quantification on one package: roots bit-identical across
+/// thread counts, canonical sizes and model counts equal to the
+/// sequential manager's.
+fn check_parallel_quantification<S, P, E>(
+    what: &str,
+    net: &Network,
+    vars: &[usize],
+    seq: &S,
+    par: impl Fn(usize) -> P,
+    edge: impl Fn(&P::Function) -> E,
+) where
+    S: FunctionManager,
+    P: FunctionManager,
+    E: PartialEq + std::fmt::Debug,
+{
+    let seq_q = quantify_outputs(&build_network(seq, net), vars);
+    let mut reference: Option<Vec<E>> = None;
     for threads in THREAD_COUNTS {
-        let par = ParBbddManager::new(bbdd::ParBbdd::with_config(
-            net.num_inputs(),
-            forced_bbdd(threads),
-        ));
-        let roots = build_network(&par, &net);
-        let ex: Vec<bbdd::ParBbddFn> = roots.iter().map(|r| r.exists(&vars)).collect();
-        let ex_edges: Vec<bbdd::Edge> = ex.iter().map(bbdd::ParBbddFn::edge).collect();
+        let mgr = par(threads);
+        let q = quantify_outputs(&build_network(&mgr, net), vars);
+        let edges: Vec<E> = q.iter().map(&edge).collect();
         match &reference {
-            None => reference = Some(ex_edges.clone()),
-            Some(expect) => assert_eq!(&ex_edges, expect, "threads {threads} changed ∃-roots"),
+            None => reference = Some(edges),
+            Some(expect) => assert_eq!(
+                &edges, expect,
+                "{what}: threads {threads} changed quantified roots"
+            ),
         }
-        for (o, (p, s)) in ex.iter().zip(&seq_ex).enumerate() {
+        for (k, (p, s)) in q.iter().zip(&seq_q).enumerate() {
             assert_eq!(
                 p.node_count(),
                 s.node_count(),
-                "output {o}: quantified canonical sizes differ"
+                "{what} result {k}: quantified canonical sizes differ"
             );
             assert_eq!(
                 p.sat_count(),
                 s.sat_count(),
-                "output {o}: quantified functions differ"
+                "{what} result {k}: quantified functions differ"
             );
         }
     }
+}
+
+/// Parallel quantification over netlist outputs (`exists`, `forall`,
+/// `and_exists`) on both packages: thread-count invariant and equal to the
+/// sequential managers' results.
+#[test]
+fn parallel_quantification_matches_sequential_on_netlists() {
+    let net = random_network(23, 10, 120);
+    let vars: Vec<usize> = (0..net.num_inputs()).filter(|v| v % 2 == 0).collect();
+    let n = net.num_inputs();
+    check_parallel_quantification(
+        "bbdd",
+        &net,
+        &vars,
+        &BbddManager::with_vars(n),
+        |threads| ParBbddManager::new(bbdd::ParBbdd::with_config(n, forced_bbdd(threads))),
+        bbdd::ParBbddFn::edge,
+    );
+    check_parallel_quantification(
+        "robdd",
+        &net,
+        &vars,
+        &RobddManager::with_vars(n),
+        |threads| ParRobddManager::new(robdd::ParRobdd::with_config(n, forced_robdd(threads))),
+        robdd::ParRobddFn::edge,
+    );
 }
 
 /// The pooled CEC driver agrees with the sequential driver — equivalent
