@@ -1309,4 +1309,80 @@ mod tests {
         let g2 = par.apply(BoolOp::XOR, f, vs[0]);
         assert_eq!(g, g2);
     }
+
+    /// A worker context over `base` with the overlay storage of `frame`.
+    fn worker_ctx<'a>(base: &'a Robdd, frame: &'a OverlayFrame<VarKey>) -> PCtx<'a> {
+        PCtx {
+            base,
+            base_len: u32::try_from(base.nodes.len()).expect("arena fits u32"),
+            table: &frame.table,
+            arena: &frame.arena,
+            cache: &frame.cache,
+            quant: None,
+        }
+    }
+
+    /// The worker runs the package's own recursion over the frozen base:
+    /// re-running operations whose results the sequential manager already
+    /// built must return those exact edges, found through the base `peek`,
+    /// without a single overlay node.
+    #[test]
+    fn worker_reruns_base_results_without_overlay_nodes() {
+        let n = 8;
+        let mut seq = Robdd::new(n);
+        let vs: Vec<Edge> = (0..n).map(|v| seq.var(v)).collect();
+        let f = build_mixed(n, 5, &mut |op, a, b| seq.apply(op, a, b), &vs);
+        let g = build_mixed(n, 6, &mut |op, a, b| seq.apply(op, a, b), &vs);
+        let h = seq.apply(BoolOp::AND, f, g);
+        let i = seq.ite(f, !g, h);
+        let frame = OverlayFrame::new(8, 64, 1 << 10);
+        let ctx = worker_ctx(&seq, &frame);
+        let (r_apply, calls) = ctx.run_task(&Task::Apply(BoolOp::AND, f, g));
+        let (r_ite, _) = ctx.run_task(&Task::Ite(f, !g, h));
+        assert_eq!(r_apply, h);
+        assert_eq!(r_ite, i);
+        assert!(calls > 0, "the worker must count its recursion entries");
+        assert_eq!(frame.arena.len(), 0, "no overlay node for a base function");
+        assert_eq!(frame.table.len(), 0);
+    }
+
+    /// From the same base state, the worker creates in the overlay exactly
+    /// the nodes the sequential manager creates in its arena, each once: a
+    /// second run of the task allocates nothing and returns the same edge,
+    /// and the commit imports every overlay node.
+    #[test]
+    fn worker_creates_each_new_node_once() {
+        let n = 8;
+        let build = || {
+            let mut m = Robdd::new(n);
+            let vs: Vec<Edge> = (0..n).map(|v| m.var(v)).collect();
+            let f = build_mixed(n, 21, &mut |op, a, b| m.apply(op, a, b), &vs);
+            let g = build_mixed(n, 34, &mut |op, a, b| m.apply(op, a, b), &vs);
+            (m, f, g)
+        };
+        let (mut seq, f, g) = build();
+        let created0 = seq.stats().nodes_created;
+        let want = seq.apply(BoolOp::XOR, f, g);
+        let created = seq.stats().nodes_created - created0;
+        assert!(created > 0, "the script must need new nodes");
+
+        let (mut base, bf, bg) = build();
+        assert_eq!((bf, bg), (f, g), "identical scripts build identical bases");
+        let frame = OverlayFrame::new(8, 64, 1 << 10);
+        let ctx = worker_ctx(&base, &frame);
+        let base_len = ctx.base_len;
+        let (r, _) = ctx.run_task(&Task::Apply(BoolOp::XOR, f, g));
+        assert_eq!(u64::from(frame.arena.len()), created);
+        let (again, _) = ctx.run_task(&Task::Apply(BoolOp::XOR, f, g));
+        assert_eq!(again, r);
+        assert_eq!(u64::from(frame.arena.len()), created);
+
+        let mut memo = FxHashMap::default();
+        let got = ParRobdd::import(&mut base, &frame.arena, base_len, &mut memo, r);
+        assert_eq!(memo.len() as u64, created);
+        assert_eq!(base.sat_count(got), seq.sat_count(want));
+        assert_eq!(base.node_count(got), seq.node_count(want));
+        let a: Vec<bool> = (0..n).map(|k| k % 3 == 0).collect();
+        assert_eq!(base.eval(got, &a), seq.eval(want, &a));
+    }
 }
