@@ -1,119 +1,136 @@
-//! Scratch measurement: decompose robdd sift cost on one benchmark into
-//! swap work vs. per-swap GC work (root-causing the misex1 open-table
-//! sift regression), measured through the `ddcore::obs` profiler — the
-//! same log2-latency histograms behind the CLI's `--profile` report —
-//! instead of ad-hoc `Instant` bookkeeping. Usage:
-//!   cargo run --release -p bbdd-bench --bin sift_anatomy [bench-name]
-//!   cargo run --release -p bbdd-bench --bin sift_anatomy --features chained_tables ...
+//! Where sift time goes, per package and netlist: each netlist is built
+//! and collected (the `bbdd-cli --sift` pipeline), then sifted once with
+//! the `ddcore::obs` profiler on. The profiler's `Reorder` histogram gives
+//! the sift time, its `Swap` and `Gc` histograms the time in level swaps
+//! and in collections inside that sift; the rest is the engine itself
+//! (live-count reads, group bookkeeping). No other timer is used.
+//!
+//! Usage:
+//!   cargo run --release -p bbdd-bench --bin sift_anatomy -- <bbdd|robdd> [netlist...]
+//!   cargo run --release -p bbdd-bench --bin sift_anatomy --features chained_tables -- ...
+//!
+//! Without netlist names it runs the five `circuit_sift` benchmark
+//! netlists: misex3, alu4, count, frg1 and C1908.
 
 use ddcore::api::FunctionManager;
 use ddcore::obs;
 use logicnet::build::build_network;
 
-/// Mean recorded latency of `op` in the snapshot, in nanoseconds.
-fn mean_ns(s: &obs::ProfileSnapshot, op: obs::Op) -> f64 {
+const DEFAULT_NETLISTS: &[&str] = &["misex3", "alu4", "count", "frg1", "C1908"];
+
+/// One sift, split by the profiler.
+#[derive(Default)]
+struct Row {
+    live: u64,
+    sift_ns: u64,
+    swaps: u64,
+    swap_ns: u64,
+    gc_runs: u64,
+    gc_ns: u64,
+}
+
+impl Row {
+    fn add(&mut self, o: &Row) {
+        self.live += o.live;
+        self.sift_ns += o.sift_ns;
+        self.swaps += o.swaps;
+        self.swap_ns += o.swap_ns;
+        self.gc_runs += o.gc_runs;
+        self.gc_ns += o.gc_ns;
+    }
+
+    fn print(&self, name: &str, vars: &str) {
+        let ms = |ns: u64| ns as f64 / 1e6;
+        let other = self.sift_ns.saturating_sub(self.swap_ns + self.gc_ns);
+        println!(
+            "{name:<8} {vars:>5} {:>7} {:>9.2} {:>7} {:>9.2} {:>8.1} {:>7} {:>8.2} {:>8.2}",
+            self.live,
+            ms(self.sift_ns),
+            self.swaps,
+            ms(self.swap_ns),
+            self.swap_ns as f64 / 1e3 / self.swaps.max(1) as f64,
+            self.gc_runs,
+            ms(self.gc_ns),
+            ms(other),
+        );
+    }
+}
+
+/// `(count, total ns)` of `op` in the snapshot.
+fn total(s: &obs::ProfileSnapshot, op: obs::Op) -> (u64, u64) {
     s.ops
         .iter()
         .find(|r| r.op == op)
-        .map_or(0.0, |r| r.total_ns as f64 / r.count.max(1) as f64)
+        .map_or((0, 0), |r| (r.count, r.total_ns))
+}
+
+fn sift_one<M: FunctionManager>(mgr: M, net: &logicnet::Network) -> Row {
+    let _roots = build_network(&mgr, net); // handles: registry roots
+    mgr.gc();
+    obs::profile_reset();
+    let live = mgr.reorder().expect("backend sifts");
+    let s = obs::profile_snapshot();
+    let (swaps, swap_ns) = total(&s, obs::Op::Swap);
+    let (gc_runs, gc_ns) = total(&s, obs::Op::Gc);
+    Row {
+        live: live as u64,
+        sift_ns: total(&s, obs::Op::Reorder).1,
+        swaps,
+        swap_ns,
+        gc_runs,
+        gc_ns,
+    }
 }
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "misex1".into());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let usage = "usage: sift_anatomy <bbdd|robdd> [netlist...]";
+    let pkg = args.first().map(String::as_str).unwrap_or_else(|| {
+        eprintln!("{usage}");
+        std::process::exit(2)
+    });
+    if pkg != "bbdd" && pkg != "robdd" {
+        eprintln!("unknown package {pkg:?}; {usage}");
+        std::process::exit(2);
+    }
+    let names: Vec<&str> = if args.len() > 1 {
+        args[1..].iter().map(String::as_str).collect()
+    } else {
+        DEFAULT_NETLISTS.to_vec()
+    };
     let variant = if cfg!(feature = "chained_tables") {
         "chained"
     } else {
         "open"
     };
-    let net = benchgen::mcnc::generate(&name).expect("known benchmark");
-    let n = net.num_inputs();
     obs::set_profile_enabled(true);
-
-    // Phase 1 — whole sifts: the Reorder histogram over 7 fresh managers
-    // gives the reference per-sift latency (p50 of the log2 buckets
-    // stands in for the old best-of-reps minimum).
-    obs::profile_reset();
-    for _ in 0..7 {
-        let mgr = robdd::RobddManager::with_vars(n);
-        let _roots = build_network(&mgr, &net); // handles: registry roots
-        mgr.reorder();
-    }
-    let sift_phase = obs::profile_snapshot();
-    let sift_ns = mean_ns(&sift_phase, obs::Op::Reorder);
-
-    // Phase 2 — swap-only walk (no GC besides what swap itself does):
-    // sweep every variable down and back up, repeated. The raw manager is
-    // driven through the backend escape hatch; the profiler's Swap
-    // histogram replaces the stopwatch.
-    let mgr = robdd::RobddManager::with_vars(n);
-    let _roots = build_network(&mgr, &net);
-    let mut mgr = mgr.backend_mut();
-    mgr.gc();
-    let reps = 200;
-    obs::profile_reset();
-    for _ in 0..reps {
-        for p in 0..n - 1 {
-            mgr.swap_adjacent(p);
-        }
-        for p in (0..n - 1).rev() {
-            mgr.swap_adjacent(p);
-        }
-    }
-    let swap_phase = obs::profile_snapshot();
-    let swap_ns = mean_ns(&swap_phase, obs::Op::Swap);
-
-    // Phase 3 — GC-only: same diagram, repeated collections (nothing dies
-    // after the first), isolating the fixed sweep cost via the Gc span
-    // histogram.
-    mgr.gc();
-    obs::profile_reset();
-    for _ in 0..4000 {
-        mgr.gc();
-    }
-    let gc_phase = obs::profile_snapshot();
-    let gc_ns = mean_ns(&gc_phase, obs::Op::Gc);
-
-    // Phase 4 — swap + per-swap GC (the sift inner loop shape); the sum
-    // of both ops' totals over the shared call count is the pair cost.
-    obs::profile_reset();
-    let mut both = 0u64;
-    for _ in 0..reps {
-        for p in 0..n - 1 {
-            mgr.swap_adjacent(p);
-            mgr.gc();
-            both += 1;
-        }
-        for p in (0..n - 1).rev() {
-            mgr.swap_adjacent(p);
-            mgr.gc();
-            both += 1;
-        }
-    }
-    let pair_phase = obs::profile_snapshot();
-    let both_ns = pair_phase
-        .ops
-        .iter()
-        .filter(|r| matches!(r.op, obs::Op::Swap | obs::Op::Gc))
-        .map(|r| r.total_ns)
-        .sum::<u64>() as f64
-        / both.max(1) as f64;
-
-    let ts = mgr.table_stats();
+    println!("sift anatomy: {pkg} [{variant} tables], one FullSift per netlist after build + gc");
     println!(
-        "{name} [{variant}] vars={n} live={} | sift {:.1} µs | swap {swap_ns:.0} ns | \
-         gc {gc_ns:.0} ns | swap+gc {both_ns:.0} ns | avg_probe {:.2} resizes {} \
-         rearr {} batched_repairs {}",
-        mgr.live_nodes(),
-        sift_ns / 1e3,
-        ts.avg_probe_length(),
-        ts.resizes,
-        ts.rearrangements,
-        ts.batched_repairs,
+        "{:<8} {:>5} {:>7} {:>9} {:>7} {:>9} {:>8} {:>7} {:>8} {:>8}",
+        "netlist",
+        "vars",
+        "live",
+        "sift_ms",
+        "swaps",
+        "swap_ms",
+        "us/swap",
+        "gc_runs",
+        "gc_ms",
+        "other_ms"
     );
-    // The per-phase breakdown, in the same report format as `--profile`.
-    println!(
-        "-- whole-sift phase --\n{}",
-        obs::format_profile(&sift_phase)
-    );
-    println!("-- swap+gc phase --\n{}", obs::format_profile(&pair_phase));
+    let mut sum = Row::default();
+    for name in names {
+        let Some(net) = benchgen::mcnc::generate(name) else {
+            eprintln!("unknown netlist {name:?}");
+            std::process::exit(1);
+        };
+        let n = net.num_inputs();
+        let row = match pkg {
+            "bbdd" => sift_one(bbdd::BbddManager::with_vars(n), &net),
+            _ => sift_one(robdd::RobddManager::with_vars(n), &net),
+        };
+        row.print(name, &n.to_string());
+        sum.add(&row);
+    }
+    sum.print("total", "");
 }

@@ -521,8 +521,9 @@ impl RawManager for ParBbdd {
 
     /// Reordering on the parallel front-end delegates to the inner
     /// sequential manager. `&mut self` guarantees a quiescent point (no
-    /// fork-join op in flight can hold overlay edges), and the sift's own
-    /// collections advance the GC generation, so the epoch sync below
+    /// fork-join op in flight can hold overlay edges), and the sift's
+    /// collections (one bringing its reference counts up, one dropping
+    /// them) advance the GC generation, so the epoch sync below
     /// invalidates the id-keyed concurrent cache exactly as a collection
     /// through any other path would.
     fn try_sift(&mut self) -> Option<usize> {

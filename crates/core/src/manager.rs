@@ -109,15 +109,15 @@ pub struct Bbdd {
     /// External-root registry behind the [`crate::BbddFn`] handles; GC and
     /// sifting trace from here instead of caller-supplied root lists.
     roots: RootSet,
-    /// Reusable snapshot buffer for the registry trace (GC runs once per
-    /// sift swap — allocation churn matters).
-    root_scratch: Vec<u64>,
     /// The automatic-GC latch + collection generation (shared shape with
     /// the ROBDD manager; see [`ddcore::roots::GcLatch`]).
     gc_latch: ddcore::roots::GcLatch,
     /// Governed-operation accounting (the `govern.*` metrics section),
     /// fed by the generic handle layer via `RawManager::note_governed`.
     pub(crate) govern: ddcore::obs::GovernCounters,
+    /// Per-node reference counts, up only while a reorder runs (see
+    /// [`ddcore::roots::RefCounts`]).
+    pub(crate) refs: ddcore::roots::RefCounts,
 }
 
 impl Bbdd {
@@ -151,9 +151,9 @@ impl Bbdd {
             swap_scratch: None,
             dvo: ddcore::dvo::DvoState::default(),
             roots: RootSet::new(),
-            root_scratch: Vec::new(),
             gc_latch: ddcore::roots::GcLatch::default(),
             govern: ddcore::obs::GovernCounters::default(),
+            refs: ddcore::roots::RefCounts::default(),
         }
     }
 
@@ -177,9 +177,9 @@ impl Bbdd {
             swap_scratch: None,
             dvo: ddcore::dvo::DvoState::default(),
             roots: RootSet::new(),
-            root_scratch: Vec::new(),
             gc_latch: ddcore::roots::GcLatch::default(),
             govern: ddcore::obs::GovernCounters::default(),
+            refs: ddcore::roots::RefCounts::default(),
         }
     }
 
@@ -511,7 +511,7 @@ impl Bbdd {
         // The latch boundary doubles as the reorder schedule's firing
         // point: with a policy installed, long handle-level construction
         // runs reorder adaptively here, not just at explicit collect()
-        // gates. (The sift's own collections go through gc_keeping, so the
+        // gates. (The sift's collections go through gc_keeping, so the
         // generation counter the Par front-ends watch still advances.)
         self.reorder_if_needed();
         true
@@ -536,17 +536,15 @@ impl Bbdd {
         self.stats.gc_runs += 1;
         self.gc_latch.note_collection();
         // Mark, starting from the registry snapshot + extra roots.
-        let mut snap = std::mem::take(&mut self.root_scratch);
-        snap.clear();
-        self.roots.snapshot_into(&mut snap);
-        let mut stack: Vec<u32> = snap
-            .iter()
-            .map(|&bits| Edge::from_bits(bits as u32))
+        let mut stack: Vec<u32> = self
+            .roots
+            .snapshot()
+            .into_iter()
+            .map(|bits| Edge::from_bits(bits as u32))
             .chain(extra.iter().copied())
             .filter(|e| !e.is_constant())
             .map(|e| e.node())
             .collect();
-        self.root_scratch = snap;
         while let Some(id) = stack.pop() {
             let n = &mut self.nodes[id as usize];
             if n.is_marked() {
@@ -584,6 +582,30 @@ impl Bbdd {
         self.stats.nodes_freed += freed as u64;
         span.set_arg("freed", freed as u64);
         freed
+    }
+
+    /// Return a node's slot to the free list (it must already be out of
+    /// its unique table).
+    pub(crate) fn free_slot_of(&mut self, id: u32) {
+        self.nodes[id as usize].set_free(true);
+        self.free.push(id);
+        self.stats.nodes_freed += 1;
+    }
+
+    /// Free the stored nodes in `dead`, whose counts just reached zero,
+    /// and every descendant left unreferenced in turn.
+    pub(crate) fn free_dead(&mut self, mut dead: Vec<u32>) {
+        while let Some(id) = dead.pop() {
+            let n = self.nodes[id as usize];
+            let removed = self.subtables[n.level() as usize].remove(&n.key());
+            debug_assert_eq!(removed, Some(id), "dead node {id} was not stored");
+            self.free_slot_of(id);
+            for child in [n.neq(), n.eq()] {
+                if self.refs.dec(child.node()) {
+                    dead.push(child.node());
+                }
+            }
+        }
     }
 
     /// Validate every canonical-form invariant of the stored forest.

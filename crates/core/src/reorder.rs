@@ -4,10 +4,10 @@
 //! The sifting algorithms themselves — classic Rudell, window-bounded and
 //! the pair-aware group variant — live in [`ddcore::dvo`], generic over
 //! [`ReorderBackend`]. This module implements that backend contract for
-//! [`Bbdd`] (adjacent CVO swaps, registry-tracing sweeps, per-level widths
-//! and the *biconditional chain affinity* that drives pair-aware sifting)
-//! and keeps the manager's historical `sift*` entry points as thin
-//! wrappers.
+//! [`Bbdd`] (adjacent CVO swaps that keep the reorder's reference counts
+//! exact and free what they kill, the live count, per-level widths and the
+//! *biconditional chain affinity* that drives pair-aware sifting) and
+//! keeps the manager's historical `sift*` entry points as thin wrappers.
 //!
 //! The affinity signal is what makes pair sifting meaningful here: a
 //! biconditional node at chain level `l` branches on `PV ⊕ SV`, coupling
@@ -17,6 +17,7 @@
 //! move as rigid units, so sifting cannot break the chains that make the
 //! BBDD compact on XOR-rich logic.
 
+use crate::edge::Edge;
 use crate::manager::Bbdd;
 use ddcore::dvo::{DvoStrategy, FullSift, PairSift, ReorderBackend, ReorderStrategy};
 use ddcore::govern::{OpAbort, OpBudget};
@@ -43,9 +44,54 @@ impl ReorderBackend for Bbdd {
         self.swap_adjacent(pos);
     }
 
-    fn sweep(&mut self) -> usize {
+    /// One collection, then every stored child edge and every registry
+    /// root counted.
+    fn start_ref_counts(&mut self) {
         self.gc_keeping(&[]);
-        self.live_nodes()
+        let roots = self.root_set().snapshot();
+        self.refs.start(
+            self.nodes.len(),
+            roots
+                .iter()
+                .map(|&bits| Edge::from_bits(bits as u32).node()),
+        );
+        let (nodes, refs) = (&self.nodes, &mut self.refs);
+        for table in &self.subtables {
+            table.for_each(|_, id| {
+                let n = &nodes[id as usize];
+                refs.inc(n.neq().node());
+                refs.inc(n.eq().node());
+            });
+        }
+    }
+
+    /// The final collection frees nothing (the counts kept the forest
+    /// exact) but clears the computed cache, whose entries may name ids
+    /// the swaps freed and reused, and advances the GC generation.
+    fn stop_ref_counts(&mut self) {
+        self.refs.stop();
+        self.gc_keeping(&[]);
+    }
+
+    /// Debug builds check the counts on every read while they are up: a
+    /// full recount of the stored forest plus a mark from the registry
+    /// roots ([`ddcore::roots::RefCounts::check_exact`]).
+    fn live_nodes(&self) -> usize {
+        let stored = || {
+            self.subtables
+                .iter()
+                .flat_map(|t| t.values())
+                .collect::<Vec<_>>()
+        };
+        debug_assert_eq!(
+            self.refs.check_exact(&stored(), |id| {
+                let n = self.node(id);
+                [n.neq().node(), n.eq().node()]
+            }),
+            Ok(()),
+            "reference counts"
+        );
+        Bbdd::live_nodes(self)
     }
 
     fn var_width(&self, var: usize) -> usize {
@@ -189,7 +235,6 @@ impl Bbdd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge::Edge;
 
     fn truth_of(mgr: &Bbdd, f: Edge, n: usize) -> Vec<bool> {
         (0..1u32 << n)

@@ -39,6 +39,19 @@
 //!   path (`(0,0,0) ↦ (0,0,0)`), and `=`-children of restaged nodes are
 //!   rebuilt from that spine, so a claimed tuple always carries a regular
 //!   `=`-edge.
+//!
+//! While a reorder runs (`ddcore::dvo` brings the manager's reference
+//! counts up for its duration), the commit keeps the counts exact and
+//! frees what the swap kills, so sifting never collects between moves.
+//! Releasing the old tuples leaves each window node counting exactly its
+//! references from above the window and from roots, which the swap does
+//! not touch: a window node without any is dead and is not re-inserted,
+//! and neither is a fresh node only it reached. Every committed node
+//! counts its new children; a literal the rebuild had to create below the
+//! window starts at zero like any new node. Nodes below the window left
+//! unreferenced are removed from their tables, cascading down. Outside a
+//! reorder the same commit runs without the bookkeeping and every old node
+//! is re-inserted.
 
 use crate::edge::Edge;
 use crate::manager::{Bbdd, NodeSpace};
@@ -130,6 +143,10 @@ pub(crate) struct SwapCtx {
     /// Bottom level of the swap window (`L0`); final nodes may only be
     /// referenced below it.
     l0: u16,
+    /// Literal nodes the rebuild created below the window (outside the
+    /// staging area). With reference counts up they start at zero; the
+    /// commit frees any the new forest does not reference.
+    created: Vec<u32>,
 }
 
 impl SwapCtx {
@@ -138,6 +155,7 @@ impl SwapCtx {
             staged: Vec::new(),
             tab: FxHashMap::default(),
             l0,
+            created: Vec::new(),
         }
     }
 
@@ -145,6 +163,7 @@ impl SwapCtx {
         self.staged.clear();
         self.tab.clear();
         self.l0 = l0;
+        self.created.clear();
     }
 
     fn intern(&mut self, key: SKey, owner: Option<u32>) -> u32 {
@@ -273,11 +292,22 @@ impl Bbdd {
             return;
         }
         // (m_{b,1}, m_{b,0}) for b = 1 (≠-child) and b = 0 (=-child).
-        let (m11, m10) = self.cofactors(nd.neq(), l0);
-        let (m01, m00) = self.cofactors(nd.eq(), l0);
-        let child1 = self.stage(ctx, l0, SEdge::from_edge(m10), SEdge::from_edge(m11));
-        let child0 = self.stage(ctx, l0, SEdge::from_edge(m01), SEdge::from_edge(m00));
+        let (m11, m10) = self.real_cofactors(ctx, nd.neq(), l0);
+        let (m01, m00) = self.real_cofactors(ctx, nd.eq(), l0);
+        let child1 = self.stage(ctx, l0, m10, m11);
+        let child0 = self.stage(ctx, l0, m01, m00);
         self.claim(ctx, id, l1, false, child1, child0);
+    }
+
+    /// Biconditional cofactors at `L0` of a real edge: they lie below the
+    /// window, so they are real too (a literal they need is created there
+    /// and recorded by [`Bbdd::old_lit_pair`]).
+    fn real_cofactors(&mut self, ctx: &mut SwapCtx, e: Edge, l0: u16) -> (SEdge, SEdge) {
+        let (neq, eq) = self.vcof(ctx, VEdge::Real(e), l0);
+        (
+            SEdge::from_edge(Self::as_real(neq)),
+            SEdge::from_edge(Self::as_real(eq)),
+        )
     }
 
     /// Old level-`i+2` node `N` (pair `(w, x)`): expand to the eight
@@ -344,7 +374,7 @@ impl Bbdd {
 
     /// Old-semantics biconditional cofactors of a possibly-virtual edge at
     /// `level`.
-    fn vcof(&mut self, ctx: &SwapCtx, v: VEdge, level: u16) -> (VEdge, VEdge) {
+    fn vcof(&mut self, ctx: &mut SwapCtx, v: VEdge, level: u16) -> (VEdge, VEdge) {
         match v {
             VEdge::Real(e) => {
                 if e.is_constant() {
@@ -378,8 +408,9 @@ impl Bbdd {
 
     /// Cofactors of the (old) positive literal of `level`'s PV:
     /// `(SV', SV)`, where the SV literal is virtual while it lies inside
-    /// the swap window.
-    fn old_lit_pair(&mut self, ctx: &SwapCtx, level: u16, c: bool) -> (VEdge, VEdge) {
+    /// the swap window. A literal node created below the window is
+    /// recorded in `ctx.created`.
+    fn old_lit_pair(&mut self, ctx: &mut SwapCtx, level: u16, c: bool) -> (VEdge, VEdge) {
         if level == 0 {
             return (
                 VEdge::Real(Edge::ZERO.complement_if(c)),
@@ -388,7 +419,11 @@ impl Bbdd {
         }
         let k = level - 1;
         if k < ctx.l0 {
+            let before = self.stats.nodes_created;
             let lit = self.shannon_node(k); // stable region: safe to create
+            if self.stats.nodes_created != before {
+                ctx.created.push(lit.node());
+            }
             (
                 VEdge::Real((!lit).complement_if(c)),
                 VEdge::Real(lit.complement_if(c)),
@@ -541,13 +576,41 @@ impl Bbdd {
 
     /// Write the staged forest back: reuse owned slots, allocate fresh ones
     /// for reachable unowned nodes, refill the three subtables.
+    ///
+    /// While a reorder runs the reference counts stay exact across the
+    /// commit. The old tuples are released first, which leaves each window
+    /// node counting only its references from above the window and from
+    /// roots — those are untouched by the swap. An owned node with no such
+    /// reference, and not reached by the new forest, is dead and is not
+    /// re-inserted. Every committed node then counts its new children, and
+    /// each node below the window left unreferenced is freed, cascading
+    /// down.
     fn commit(&mut self, ctx: &mut SwapCtx, l0: u16, l1: u16, l2: Option<u16>) {
+        let counting = self.refs.is_active();
         let staged = &ctx.staged;
-        // Reachability from owned (adopted) nodes; unreferenced fresh
-        // intermediates are dropped instead of becoming instant garbage.
+        // Nodes whose count reached zero, freed at the end unless the new
+        // forest references them again.
+        let mut zeroed = std::mem::take(&mut ctx.created);
+        if counting {
+            for id in staged.iter().filter_map(|s| s.owner) {
+                let n = *self.node(id);
+                for child in [n.neq(), n.eq()] {
+                    if self.refs.dec(child.node()) {
+                        zeroed.push(child.node());
+                    }
+                }
+            }
+        }
+        // Reachability from the live owned (adopted) nodes; unreferenced
+        // fresh intermediates are dropped instead of becoming instant
+        // garbage.
         let mut used = vec![false; staged.len()];
         let mut stack: Vec<u32> = (0..staged.len() as u32)
-            .filter(|&k| staged[k as usize].owner.is_some())
+            .filter(|&k| {
+                staged[k as usize]
+                    .owner
+                    .is_some_and(|id| !counting || self.refs.get(id) > 0)
+            })
             .collect();
         while let Some(k) = stack.pop() {
             if used[k as usize] {
@@ -565,6 +628,11 @@ impl Bbdd {
         self.subtables[l1 as usize].clear();
         if let Some(l2) = l2 {
             self.subtables[l2 as usize].clear();
+        }
+        for (k, s) in staged.iter().enumerate() {
+            if let (false, Some(id)) = (used[k], s.owner) {
+                self.free_slot_of(id);
+            }
         }
 
         let mut final_id = vec![u32::MAX; staged.len()];
@@ -611,6 +679,15 @@ impl Bbdd {
             );
             self.subtables[s.level as usize].insert(key, id);
             self.stats.nodes_created += u64::from(s.owner.is_none());
+            if counting {
+                self.refs.inc(neq.node());
+                self.refs.inc(eq.node());
+            }
+        }
+
+        if counting {
+            zeroed.retain(|&id| self.refs.get(id) == 0 && !self.node(id).is_free());
+            self.free_dead(zeroed);
         }
     }
 
@@ -673,6 +750,30 @@ mod tests {
                 assert_eq!(truth_of(&mgr, g, n), tg, "seed {seed} pos {pos} (g)");
                 mgr.validate().unwrap();
             }
+        }
+    }
+
+    /// With reference counts up, a sift's swaps free everything they kill
+    /// — including a literal the rebuild creates below the window that the
+    /// new forest ends up not using (these seeds hit that case). Debug
+    /// builds also check the counts after every move.
+    #[test]
+    fn sift_frees_what_its_swaps_kill() {
+        let n = 5;
+        for seed in 0..12u64 {
+            let mut mgr = Bbdd::new(n);
+            let f = build_mixed(&mut mgr, n, seed);
+            let g = build_mixed(&mut mgr, n, seed + 1000);
+            let (tf, tg) = (truth_of(&mgr, f, n), truth_of(&mgr, g, n));
+            let _pins = (mgr.pin(f), mgr.pin(g));
+            let live = mgr.sift();
+            assert_eq!(mgr.gc(), 0, "seed {seed}: a dead node was left stored");
+            assert_eq!(live, mgr.live_nodes(), "seed {seed}");
+            let s = mgr.stats();
+            assert_eq!(s.nodes_created - s.nodes_freed, live as u64, "seed {seed}");
+            assert_eq!(truth_of(&mgr, f, n), tf, "seed {seed} (f)");
+            assert_eq!(truth_of(&mgr, g, n), tg, "seed {seed} (g)");
+            mgr.validate().unwrap();
         }
     }
 

@@ -7,11 +7,12 @@
 //! BBDDs: the chained variable pairs) is the lever for compactness, so
 //! ordering deserves the same first-class treatment the storage layer got:
 //!
-//! * [`ReorderBackend`] — the five primitives a manager exposes so the
-//!   generic engine can sift it: positions, adjacent swaps, a GC sweep and
-//!   level widths (plus an optional *chain-affinity* signal, see below).
-//!   Both `bbdd::Bbdd` and `robdd::Robdd` implement this; their crates'
-//!   public sift entry points are thin wrappers over the engine here.
+//! * [`ReorderBackend`] — the primitives a manager exposes so the generic
+//!   engine can sift it: positions, adjacent swaps, reference counts kept
+//!   across the reorder, an exact live count and level widths (plus an
+//!   optional *chain-affinity* signal, see below). Both `bbdd::Bbdd` and
+//!   `robdd::Robdd` implement this; their crates' public sift entry points
+//!   are thin wrappers over the engine here.
 //! * [`ReorderStrategy`] — the pluggable algorithm: [`FullSift`] (classic
 //!   Rudell), [`WindowSift`] (exploration clamped to a radius around each
 //!   variable's start position — bounded work on large orders) and
@@ -41,6 +42,21 @@
 //! directly at the next variable), so the strategy is meaningful — if less
 //! decisive — there too.
 //!
+//! # Reference counts during a reorder
+//!
+//! Every sift decision compares the exact live node count after a move
+//! with the best seen so far. The engine never collects to get that count.
+//! Instead, every strategy runs inside one bracket (`counted`): it
+//! brings up the backend's per-node reference counts (one collection, then
+//! every stored child edge and registry root counted), and each adjacent
+//! swap frees the nodes it releases the moment their count reaches zero
+//! (CUDD's discipline). The stored forest is then the live forest after
+//! every move, so the live count is a read, and a move costs work in the
+//! swapped levels only, not in the whole forest. The bracket drops the
+//! counts with one final collection — even when the budget aborts the
+//! sift — which clears the computed cache (freed ids may be reused) and
+//! advances the GC generation the parallel front-ends watch.
+//!
 //! # Abort safety
 //!
 //! Every engine entry point takes an [`OpBudget`] and polls it before each
@@ -69,15 +85,23 @@ pub trait ReorderBackend {
     fn var_at_position(&self, pos: usize) -> usize;
 
     /// Swap the variables at positions `pos` and `pos + 1` in place; every
-    /// existing edge keeps denoting the same function.
+    /// existing edge keeps denoting the same function. While the reference
+    /// counts are up, the swap frees every node it leaves unreferenced.
     fn swap_positions(&mut self, pos: usize);
 
-    /// Collect garbage (tracing the backend's handle registry) and return
-    /// the exact live node count. Swaps strand dead nodes, and dead nodes
-    /// *compound* — each subsequent swap rebuilds them along with the live
-    /// ones — so the engine sweeps after every group move and uses the
-    /// returned exact count for its position decisions.
-    fn sweep(&mut self) -> usize;
+    /// Bring up exact per-node reference counts for a reorder: collect once
+    /// (tracing the backend's handle registry), then count every stored
+    /// child edge and every registry root.
+    fn start_ref_counts(&mut self);
+
+    /// Drop the reference counts, ending with one collection, so no freed
+    /// id is ever served from a stale computed cache.
+    fn stop_ref_counts(&mut self);
+
+    /// The exact live node count. With the reference counts up this is a
+    /// read: each swap has already freed what it killed. Debug builds check
+    /// it against a full mark from the registry roots.
+    fn live_nodes(&self) -> usize;
 
     /// Nodes currently stored whose branching variable is `var`.
     fn var_width(&self, var: usize) -> usize;
@@ -150,7 +174,7 @@ fn sift_group<B: ReorderBackend>(
         return Ok(());
     }
     let start = b.position_of(lead_var);
-    let mut best_size = b.sweep();
+    let mut best_size = b.live_nodes();
     let mut best_top = start;
     let limit = |best: usize| (best as f64 * params.max_growth) as usize + 2;
     let in_window = |top: usize| match window {
@@ -185,7 +209,7 @@ fn sift_group<B: ReorderBackend>(
                 break 'exploration;
             }
             move_group(b, top, len, down);
-            let size = b.sweep();
+            let size = b.live_nodes();
             if size < best_size {
                 best_size = size;
                 best_top = next_top;
@@ -204,7 +228,6 @@ fn sift_group<B: ReorderBackend>(
             std::cmp::Ordering::Equal => break,
         }
     }
-    b.sweep();
     match abort {
         Some(reason) => Err(reason),
         None => Ok(()),
@@ -226,6 +249,27 @@ fn sift_pass<B: ReorderBackend>(
     Ok(())
 }
 
+/// Run `sift` with the backend's reference counts up and return the exact
+/// live count afterwards. This is the one place the counts are brought up
+/// and dropped; every strategy goes through it, and they are dropped on
+/// the abort path too.
+fn counted<B: ReorderBackend>(
+    b: &mut B,
+    sift: impl FnOnce(&mut B) -> Result<(), OpAbort>,
+) -> Result<usize, OpAbort> {
+    // The span covers the whole strategy run; an abort drops it without
+    // the live-count arg, which is how a cut-short reorder reads in a
+    // trace.
+    let mut span = crate::obs::span(crate::obs::Op::Reorder);
+    b.start_ref_counts();
+    let res = sift(b);
+    b.stop_ref_counts();
+    res?;
+    let live = b.live_nodes();
+    span.set_arg("live_nodes", live as u64);
+    Ok(live)
+}
+
 /// Singleton groups for all variables, processed by decreasing level
 /// population (the classic heuristic: the widest level has the most to
 /// gain), position as the deterministic tie-break.
@@ -243,8 +287,8 @@ pub trait ReorderStrategy {
     /// Stable identifier (the CLI token).
     fn name(&self) -> &'static str;
 
-    /// Run the strategy to completion under `budget`, returning the live
-    /// node count after the final sweep.
+    /// Run the strategy to completion under `budget`, returning the exact
+    /// live node count.
     ///
     /// # Errors
     /// The budget's abort reason; the backend's order is consistent (the
@@ -274,20 +318,16 @@ impl ReorderStrategy for FullSift {
         b: &mut B,
         budget: &mut OpBudget,
     ) -> Result<usize, OpAbort> {
-        // Span covers the whole strategy run; an abort (`?`) drops it
-        // without the live-count arg, which is how a cut-short reorder
-        // reads in a trace.
-        let mut span = crate::obs::span(crate::obs::Op::Reorder);
-        for _ in 0..self.params.passes.max(1) {
-            if b.num_vars() < 2 {
-                break;
+        counted(b, |b| {
+            for _ in 0..self.params.passes.max(1) {
+                if b.num_vars() < 2 {
+                    break;
+                }
+                let groups = singleton_groups(b);
+                sift_pass(b, &groups, None, &self.params, budget)?;
             }
-            let groups = singleton_groups(b);
-            sift_pass(b, &groups, None, &self.params, budget)?;
-        }
-        let live = b.sweep();
-        span.set_arg("live_nodes", live as u64);
-        Ok(live)
+            Ok(())
+        })
     }
 }
 
@@ -322,17 +362,16 @@ impl ReorderStrategy for WindowSift {
         b: &mut B,
         budget: &mut OpBudget,
     ) -> Result<usize, OpAbort> {
-        let mut span = crate::obs::span(crate::obs::Op::Reorder);
-        for _ in 0..self.params.passes.max(1) {
-            if b.num_vars() < 2 {
-                break;
+        counted(b, |b| {
+            for _ in 0..self.params.passes.max(1) {
+                if b.num_vars() < 2 {
+                    break;
+                }
+                let groups = singleton_groups(b);
+                sift_pass(b, &groups, Some(self.radius.max(1)), &self.params, budget)?;
             }
-            let groups = singleton_groups(b);
-            sift_pass(b, &groups, Some(self.radius.max(1)), &self.params, budget)?;
-        }
-        let live = b.sweep();
-        span.set_arg("live_nodes", live as u64);
-        Ok(live)
+            Ok(())
+        })
     }
 }
 
@@ -404,20 +443,19 @@ impl ReorderStrategy for PairSift {
         b: &mut B,
         budget: &mut OpBudget,
     ) -> Result<usize, OpAbort> {
-        let mut span = crate::obs::span(crate::obs::Op::Reorder);
-        for _ in 0..self.params.passes.max(1) {
-            if b.num_vars() < 2 {
-                break;
+        counted(b, |b| {
+            for _ in 0..self.params.passes.max(1) {
+                if b.num_vars() < 2 {
+                    break;
+                }
+                // Pairing is recomputed per pass from the *current* order
+                // and node population — an earlier pass (or a previous
+                // scheduled reorder) changes both.
+                let groups = self.groups(b);
+                sift_pass(b, &groups, None, &self.params, budget)?;
             }
-            // Pairing is recomputed per pass from the *current* order and
-            // node population — an earlier pass (or a previous scheduled
-            // reorder) changes both.
-            let groups = self.groups(b);
-            sift_pass(b, &groups, None, &self.params, budget)?;
-        }
-        let live = b.sweep();
-        span.set_arg("live_nodes", live as u64);
-        Ok(live)
+            Ok(())
+        })
     }
 }
 
@@ -678,6 +716,9 @@ mod tests {
         swaps: usize,
         widths: Vec<usize>,
         affinity: Vec<f64>,
+        /// Reference-count brackets opened / closed.
+        started: usize,
+        stopped: usize,
     }
 
     impl PermBackend {
@@ -688,6 +729,8 @@ mod tests {
                 swaps: 0,
                 widths: vec![1; n],
                 affinity: vec![0.0; n.saturating_sub(1)],
+                started: 0,
+                stopped: 0,
             }
         }
     }
@@ -708,7 +751,15 @@ mod tests {
             self.pos_of_var[self.var_at_pos[pos + 1]] = pos + 1;
             self.swaps += 1;
         }
-        fn sweep(&mut self) -> usize {
+        fn start_ref_counts(&mut self) {
+            assert_eq!(self.started, self.stopped, "counts brought up twice");
+            self.started += 1;
+        }
+        fn stop_ref_counts(&mut self) {
+            self.stopped += 1;
+            assert_eq!(self.started, self.stopped, "counts dropped twice");
+        }
+        fn live_nodes(&self) -> usize {
             self.widths.iter().sum()
         }
         fn var_width(&self, var: usize) -> usize {
@@ -736,6 +787,7 @@ mod tests {
             assert!(is_permutation(&b), "{strategy}: {:?}", b.var_at_pos);
             // Equal sizes everywhere: every variable parks where it began.
             assert_eq!(b.var_at_pos, (0..6).collect::<Vec<_>>(), "{strategy}");
+            assert_eq!((b.started, b.stopped), (1, 1), "{strategy}: one bracket");
         }
     }
 
@@ -764,6 +816,7 @@ mod tests {
         assert_eq!(res, Err(OpAbort::Cancelled));
         assert!(is_permutation(&b));
         assert_eq!(b.var_at_pos, (0..8).collect::<Vec<_>>(), "parked back");
+        assert_eq!((b.started, b.stopped), (1, 1), "counts dropped on abort");
     }
 
     #[test]

@@ -113,6 +113,167 @@ impl GcLatch {
     }
 }
 
+/// Exact per-node reference counts, kept only while a reorder runs.
+///
+/// Both packages store nodes in an arena of `u32` ids with the sink at id
+/// 0. A node's count is the number of stored child edges pointing at it
+/// plus the registry roots on it; the sink is never counted. With the
+/// counts up, a level swap frees each node the moment its count reaches
+/// zero, so the stored forest *is* the live forest after every move and
+/// the sifting engine reads an exact size without collecting. Outside a
+/// reorder the counts are dropped (empty), and node creation on the apply
+/// path never touches them.
+///
+/// ```
+/// use ddcore::roots::RefCounts;
+/// let mut rc = RefCounts::default();
+/// assert!(!rc.is_active());
+/// rc.start(3, [1]); // node 1 is a root
+/// rc.inc(2); // node 1 → node 2
+/// assert!(rc.is_active());
+/// assert!(rc.dec(2), "node 2 is dead once its only parent lets go");
+/// assert!(!rc.dec(0), "the sink is never counted");
+/// rc.stop();
+/// assert!(!rc.is_active());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct RefCounts {
+    /// Count per node id; empty while no reorder runs.
+    counts: Vec<u32>,
+    /// The root ids counted at bring-up (what the exactness check traces
+    /// from).
+    roots: Vec<u32>,
+}
+
+impl RefCounts {
+    /// Are the counts up?
+    #[inline]
+    #[must_use]
+    pub fn is_active(&self) -> bool {
+        !self.counts.is_empty()
+    }
+
+    /// Bring the counts up over an arena of `slots` ids, counting one
+    /// reference per entry of `roots`. The caller then counts every stored
+    /// child edge with [`RefCounts::inc`].
+    pub fn start(&mut self, slots: usize, roots: impl IntoIterator<Item = u32>) {
+        self.counts.clear();
+        self.counts.resize(slots.max(1), 0);
+        self.roots.clear();
+        self.roots.extend(roots);
+        for i in 0..self.roots.len() {
+            let r = self.roots[i];
+            self.inc(r);
+        }
+    }
+
+    /// Drop the counts.
+    pub fn stop(&mut self) {
+        self.counts = Vec::new();
+        self.roots = Vec::new();
+    }
+
+    /// One more reference to `id` (a node created after bring-up starts
+    /// at zero).
+    #[inline]
+    pub fn inc(&mut self, id: u32) {
+        if id == 0 {
+            return;
+        }
+        let i = id as usize;
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += 1;
+    }
+
+    /// One reference to `id` fewer; `true` when that was the last one.
+    #[inline]
+    pub fn dec(&mut self, id: u32) -> bool {
+        if id == 0 {
+            return false;
+        }
+        let c = &mut self.counts[id as usize];
+        debug_assert!(*c > 0, "reference count of node {id} underflows");
+        *c -= 1;
+        *c == 0
+    }
+
+    /// The current count of `id`.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, id: u32) -> u32 {
+        self.counts.get(id as usize).copied().unwrap_or(0)
+    }
+
+    /// The exactness oracle: recount every reference from scratch over the
+    /// `stored` nodes (`children` gives a node's two child ids, 0 for a
+    /// constant) and the bring-up roots, compare with the maintained
+    /// counts, and mark from the roots — every stored node must be
+    /// reached, so the stored count is the exact live count. Linear in the
+    /// forest; the managers run it under `debug_assert!` on every
+    /// live-count read of a reorder. `Ok` while the counts are down.
+    ///
+    /// # Errors
+    /// A description of the first mismatch.
+    pub fn check_exact(
+        &self,
+        stored: &[u32],
+        children: impl Fn(u32) -> [u32; 2],
+    ) -> Result<(), String> {
+        if !self.is_active() {
+            return Ok(());
+        }
+        let slots = stored
+            .iter()
+            .chain(&self.roots)
+            .map(|&id| id as usize + 1)
+            .max()
+            .unwrap_or(1);
+        let mut fresh = vec![0u32; slots];
+        let mut is_stored = vec![false; slots];
+        for &id in stored {
+            is_stored[id as usize] = true;
+            for c in children(id) {
+                if c != 0 {
+                    fresh[c as usize] += 1;
+                }
+            }
+        }
+        for &r in &self.roots {
+            if r != 0 {
+                fresh[r as usize] += 1;
+            }
+        }
+        for &id in stored {
+            let (want, have) = (fresh[id as usize], self.get(id));
+            if want != have {
+                return Err(format!("node {id} has {want} references but counts {have}"));
+            }
+        }
+        let mut reached = vec![false; slots];
+        let mut stack: Vec<u32> = self.roots.iter().copied().filter(|&r| r != 0).collect();
+        let mut live = 0usize;
+        while let Some(id) = stack.pop() {
+            if std::mem::replace(&mut reached[id as usize], true) {
+                continue;
+            }
+            if !is_stored[id as usize] {
+                return Err(format!("reachable node {id} is not stored"));
+            }
+            live += 1;
+            stack.extend(children(id).into_iter().filter(|&c| c != 0));
+        }
+        if live != stored.len() {
+            return Err(format!(
+                "{} nodes stored but {live} reachable from the roots",
+                stored.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The slab: parallel refcount/bits arrays plus a free list.
 #[derive(Debug, Default)]
 struct Slab {
@@ -281,6 +442,30 @@ impl Drop for RootGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ref_count_oracle_flags_wrong_counts_and_dead_nodes() {
+        // Root 1 → {2, 3}, 2 → {3, sink}; node 4 has no parent.
+        let kids = |id: u32| match id {
+            1 => [2, 3],
+            2 => [3, 0],
+            _ => [0, 0],
+        };
+        let mut rc = RefCounts::default();
+        rc.start(5, [1]);
+        for id in [1, 2, 3] {
+            for c in kids(id) {
+                rc.inc(c);
+            }
+        }
+        assert_eq!(rc.get(3), 2);
+        assert_eq!(rc.check_exact(&[1, 2, 3], kids), Ok(()));
+        let dead = rc.check_exact(&[1, 2, 3, 4], kids).unwrap_err();
+        assert!(dead.contains("4 nodes stored but 3 reachable"), "{dead}");
+        rc.inc(3);
+        let wrong = rc.check_exact(&[1, 2, 3], kids).unwrap_err();
+        assert!(wrong.contains("node 3"), "{wrong}");
+    }
 
     #[test]
     fn register_retain_release_lifecycle() {

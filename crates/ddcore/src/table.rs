@@ -11,8 +11,9 @@
 //!   compact memory stream instead of a pointer chase. Deletion is
 //!   *adaptive*: large tables backward-shift eagerly (no tombstones, probe
 //!   sequences never grow stale); small L1-resident tables defer hole
-//!   repair to a batched sweep, which keeps the per-swap GC sweeps that
-//!   sifting issues cheap on tiny subtables.
+//!   repair to a batched sweep, which keeps the remove/insert churn of
+//!   sifting cheap on tiny subtables (each level swap removes and
+//!   re-inserts the nodes it rewrites and removes the ones it frees).
 //! * [`BucketTable`] — the seed implementation: per-bucket linked lists
 //!   threaded through a side `entries` array. Kept for the
 //!   `chained_tables` ablation feature and the `tables_ablation` bench.
@@ -473,8 +474,8 @@ pub struct OpenTable<K> {
     probes_since_adapt: u64,
     lookups_since_adapt: u64,
     /// Reused survivor buffer for [`OpenTable::retain`] /
-    /// [`OpenTable::grow`], so the per-swap GC sweeps issued by sifting
-    /// allocate nothing in steady state.
+    /// [`OpenTable::grow`], so repeated collections allocate nothing in
+    /// steady state.
     scratch: Vec<(u32, K, u32)>,
     /// Reused punched-hole index buffer for [`OpenTable::retain`]'s
     /// sparse-death fast path (same no-allocation rationale).
@@ -510,8 +511,8 @@ impl<K: TableKey> OpenTable<K> {
     pub const DEFER_REPAIR_MAX_CAP: usize = 4096;
     /// Tombstone fraction (1/`SWEEP_TOMBSTONE_DIV` of capacity) that
     /// triggers the batched compaction sweep — half of capacity; sweeping
-    /// more often than the GC cadence was measured to cost more than the
-    /// repairs it saves (see DESIGN.md).
+    /// more often (every capacity/4 tombstones) was measured to cost more
+    /// than the repairs it saves (see DESIGN.md).
     const SWEEP_TOMBSTONE_DIV: usize = 2;
 
     /// Create a table with room for at least `initial_capacity` entries
@@ -694,10 +695,12 @@ impl<K: TableKey> OpenTable<K> {
 
     /// Remove `key`, returning its value if it was present.
     ///
-    /// Deletion strategy is adaptive (the per-swap GC fix): on a small
-    /// (L1-resident) table the slot is tombstoned and hole repair is
-    /// deferred to a batched sweep; on a large table the displaced run is
-    /// backward-shifted immediately, leaving no tombstone behind.
+    /// Deletion strategy is adaptive: on a small (L1-resident) table the
+    /// slot is tombstoned and hole repair is deferred to a batched sweep —
+    /// level swaps remove nodes one at a time, and at that size repairing
+    /// each hole costs more than probing past it; on a large table the
+    /// displaced run is backward-shifted immediately, leaving no tombstone
+    /// behind.
     pub fn remove(&mut self, key: &K) -> Option<u32> {
         let h = Self::fold(key.table_hash(&self.hasher));
         let mut i = self.home(h);
@@ -842,17 +845,15 @@ impl<K: TableKey> OpenTable<K> {
     /// nothing. Shrinks the table when occupancy has dropped far below
     /// capacity.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, u32) -> bool) {
-        // Per-swap GC sweeps visit every subtable; empty ones (common
-        // while a variable sifts through foreign levels) must cost nothing
-        // rather than a full control-array scan.
+        // A collection visits every subtable; empty ones must cost
+        // nothing rather than a full control-array scan.
         if self.len == 0 {
             return;
         }
         // Deferred-repair regime (small, L1-resident tables): judge each
         // entry once, tombstone the dead, and skip hole repair entirely —
-        // the batched sweep pays it back later. This is the adaptive
-        // per-swap GC path: sifting's sweeps on tiny subtables now cost
-        // one bounded scan and no repair work.
+        // the batched sweep pays it back later, so a collection of a tiny
+        // subtable costs one bounded scan and no repair work.
         if self.defer_repair() {
             let mut judged = 0usize;
             let mut dead = 0usize;
@@ -876,10 +877,11 @@ impl<K: TableKey> OpenTable<K> {
             }
             self.len -= dead;
             self.tombstones += dead;
-            // Wider shrink hysteresis than the eager path: per-swap GC
-            // moves whole levels back and forth, and a table that halves
-            // the moment occupancy dips below 25% thrashes resize cycles
-            // against the 75% grow threshold (measured on the misex1 sift:
+            // Wider shrink hysteresis than the eager path: sifting moves
+            // whole levels back and forth between subtables, and a table
+            // that halves the moment occupancy dips below 25% thrashes
+            // resize cycles against the 75% grow threshold (measured on
+            // the misex1 sift when it still collected after every swap:
             // 3x the chained table's resize count).
             let mut target = self.ctrl.len();
             while target > 16 && self.len * 8 < target {
@@ -917,8 +919,7 @@ impl<K: TableKey> OpenTable<K> {
         // Pass 1: judge every entry exactly once, punching holes in place,
         // stopping as soon as all `len` live entries have been judged (the
         // control tail past the last entry is never touched). A sweep that
-        // removes nothing (the common case between adjacent sifting swaps)
-        // ends here, having written nothing.
+        // removes nothing ends here, having written nothing.
         let mut holes = std::mem::take(&mut self.holes);
         holes.clear();
         let mut judged = 0usize;
@@ -962,8 +963,8 @@ impl<K: TableKey> OpenTable<K> {
             return;
         }
         if dead * 8 < self.ctrl.len() {
-            // Sparse deaths (the per-swap GC sweeps issued by sifting kill
-            // a handful of nodes at a time): run the pass-2 FCFS repair
+            // Sparse deaths (a collection that kills a handful of nodes):
+            // run the pass-2 FCFS repair
             // *locally*, only over the cluster containing each hole —
             // O(dead × cluster length) instead of the O(capacity)
             // whole-table sweep below. A cluster is bounded by slots that
@@ -1155,9 +1156,10 @@ mod tests {
     #[test]
     fn open_retain_sparse_deaths_keeps_survivors_reachable() {
         // Exercises retain's local-cluster repair path (dead ≪ capacity):
-        // repeated sweeps each killing a small pseudo-random subset — the
-        // per-swap GC shape — must leave every survivor reachable,
-        // including entries whose probe runs contained several holes.
+        // repeated sweeps each killing a small pseudo-random subset — a
+        // collection that frees a few nodes — must leave every survivor
+        // reachable, including entries whose probe runs contained several
+        // holes.
         let mut t: OpenTable<K3> = OpenTable::new(256);
         let mut live: std::collections::HashSet<u32> = (0..500u32).collect();
         for i in 0..500u32 {

@@ -513,9 +513,10 @@ impl RawManager for ParRobdd {
 
     /// Reordering on the parallel front-end delegates to the inner
     /// sequential manager. `&mut self` guarantees a quiescent point, and
-    /// the sift's own collections advance the GC generation, so the epoch
-    /// sync below invalidates the id-keyed concurrent cache exactly as a
-    /// collection through any other path would.
+    /// the sift's collections (one bringing its reference counts up, one
+    /// dropping them) advance the GC generation, so the epoch sync below
+    /// invalidates the id-keyed concurrent cache exactly as a collection
+    /// through any other path would.
     fn try_sift(&mut self) -> Option<usize> {
         let n = self.inner_mut().try_sift();
         self.sync_cache_epoch();

@@ -84,8 +84,6 @@ pub struct Robdd {
     /// External-root registry behind the [`crate::RobddFn`] handles; GC
     /// and sifting trace from here instead of caller-supplied root lists.
     roots: RootSet,
-    /// Reusable snapshot buffer for the registry trace.
-    root_scratch: Vec<u64>,
     /// The automatic-GC latch + collection generation (shared shape with
     /// the BBDD manager; see [`ddcore::roots::GcLatch`]).
     gc_latch: ddcore::roots::GcLatch,
@@ -95,6 +93,9 @@ pub struct Robdd {
     /// Governed-operation accounting (the `govern.*` metrics section),
     /// fed by the generic handle layer via `RawManager::note_governed`.
     pub(crate) govern: ddcore::obs::GovernCounters,
+    /// Per-node reference counts, up only while a reorder runs (see
+    /// [`ddcore::roots::RefCounts`]).
+    pub(crate) refs: ddcore::roots::RefCounts,
 }
 
 impl Robdd {
@@ -118,10 +119,10 @@ impl Robdd {
             cache: ComputedCache::default(),
             stats: RobddStats::default(),
             roots: RootSet::new(),
-            root_scratch: Vec::new(),
             gc_latch: ddcore::roots::GcLatch::default(),
             dvo: ddcore::dvo::DvoState::default(),
             govern: ddcore::obs::GovernCounters::default(),
+            refs: ddcore::roots::RefCounts::default(),
         }
     }
 
@@ -141,10 +142,10 @@ impl Robdd {
             cache: self.cache.clone(),
             stats: RobddStats::default(),
             roots: RootSet::new(),
-            root_scratch: Vec::new(),
             gc_latch: ddcore::roots::GcLatch::default(),
             dvo: ddcore::dvo::DvoState::default(),
             govern: ddcore::obs::GovernCounters::default(),
+            refs: ddcore::roots::RefCounts::default(),
         }
     }
 
@@ -483,17 +484,15 @@ impl Robdd {
         let mut span = ddcore::obs::span(ddcore::obs::Op::Gc);
         self.stats.gc_runs += 1;
         self.gc_latch.note_collection();
-        let mut snap = std::mem::take(&mut self.root_scratch);
-        snap.clear();
-        self.roots.snapshot_into(&mut snap);
-        let mut stack: Vec<u32> = snap
-            .iter()
-            .map(|&bits| Edge::from_bits(bits as u32))
+        let mut stack: Vec<u32> = self
+            .roots
+            .snapshot()
+            .into_iter()
+            .map(|bits| Edge::from_bits(bits as u32))
             .chain(extra.iter().copied())
             .filter(|e| !e.is_constant())
             .map(|e| e.node())
             .collect();
-        self.root_scratch = snap;
         while let Some(id) = stack.pop() {
             let n = &mut self.nodes[id as usize];
             if n.is_marked() {
@@ -531,6 +530,24 @@ impl Robdd {
         self.stats.nodes_freed += freed as u64;
         span.set_arg("freed", freed as u64);
         freed
+    }
+
+    /// Free the nodes in `dead`, whose counts just reached zero, and every
+    /// descendant left unreferenced in turn.
+    pub(crate) fn free_dead(&mut self, mut dead: Vec<u32>) {
+        while let Some(id) = dead.pop() {
+            let n = self.nodes[id as usize];
+            let removed = self.subtables[n.var() as usize].remove(&n.key());
+            debug_assert_eq!(removed, Some(id), "dead node {id} was not stored");
+            self.nodes[id as usize].set_free(true);
+            self.free.push(id);
+            self.stats.nodes_freed += 1;
+            for child in [n.then_(), n.else_()] {
+                if self.refs.dec(child.node()) {
+                    dead.push(child.node());
+                }
+            }
+        }
     }
 
     /// Validate the canonical-form invariants (tests/debugging).

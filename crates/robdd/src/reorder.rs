@@ -4,10 +4,12 @@
 //!
 //! The sifting algorithms live in [`ddcore::dvo`], generic over
 //! [`ReorderBackend`]; this module supplies the backend contract (adjacent
-//! swaps, registry-tracing sweeps, per-variable widths and a structural
+//! swaps that keep the reorder's reference counts exact and free what
+//! they kill, the live count, per-variable widths and a structural
 //! pair-affinity analogue) and keeps the historical `sift*` entry points
 //! as thin wrappers.
 
+use crate::edge::Edge;
 use crate::manager::{NodeSpace, Robdd};
 use crate::node::Node;
 use ddcore::dvo::{DvoStrategy, FullSift, ReorderBackend, ReorderStrategy};
@@ -34,9 +36,54 @@ impl ReorderBackend for Robdd {
         self.swap_adjacent(pos);
     }
 
-    fn sweep(&mut self) -> usize {
+    /// One collection, then every stored child edge and every registry
+    /// root counted.
+    fn start_ref_counts(&mut self) {
         self.gc_keeping(&[]);
-        self.live_nodes()
+        let roots = self.root_set().snapshot();
+        self.refs.start(
+            self.nodes.len(),
+            roots
+                .iter()
+                .map(|&bits| Edge::from_bits(bits as u32).node()),
+        );
+        let (nodes, refs) = (&self.nodes, &mut self.refs);
+        for table in &self.subtables {
+            table.for_each(|_, id| {
+                let n = &nodes[id as usize];
+                refs.inc(n.then_().node());
+                refs.inc(n.else_().node());
+            });
+        }
+    }
+
+    /// The final collection frees nothing (the counts kept the forest
+    /// exact) but clears the computed cache, whose entries may name ids
+    /// the swaps freed and reused, and advances the GC generation.
+    fn stop_ref_counts(&mut self) {
+        self.refs.stop();
+        self.gc_keeping(&[]);
+    }
+
+    /// Debug builds check the counts on every read while they are up: a
+    /// full recount of the stored forest plus a mark from the registry
+    /// roots ([`ddcore::roots::RefCounts::check_exact`]).
+    fn live_nodes(&self) -> usize {
+        let stored = || {
+            self.subtables
+                .iter()
+                .flat_map(|t| t.values())
+                .collect::<Vec<_>>()
+        };
+        debug_assert_eq!(
+            self.refs.check_exact(&stored(), |id| {
+                let n = self.node(id);
+                [n.then_().node(), n.else_().node()]
+            }),
+            Ok(()),
+            "reference counts"
+        );
+        Robdd::live_nodes(self)
     }
 
     fn var_width(&self, var: usize) -> usize {
@@ -78,6 +125,13 @@ impl Robdd {
     /// variable first; all other nodes are untouched. Every existing
     /// [`Edge`](crate::Edge) keeps denoting the same function.
     ///
+    /// While a reorder runs, the swap keeps the reference counts exact:
+    /// each rewritten node counts its new children (a child the swap
+    /// creates starts at zero and counts its own), and after the loop the
+    /// old children are released. Every node left unreferenced is freed
+    /// on the spot, cascading down, so the swap costs work in the two
+    /// levels it touches and what dies below them — never a collection.
+    ///
     /// # Panics
     /// Panics if `pos + 1 >= num_vars()`.
     pub fn swap_adjacent(&mut self, pos: usize) {
@@ -87,6 +141,9 @@ impl Robdd {
         let x = self.var_at_pos[pos] as u16;
         let y = self.var_at_pos[pos + 1] as u16;
 
+        let counting = self.refs.is_active();
+        // Old children of the rewritten nodes, released after the loop.
+        let mut released: Vec<u32> = Vec::new();
         let ids = self.subtables[x as usize].values();
         for id in ids {
             let nd = *self.node(id);
@@ -113,8 +170,8 @@ impl Robdd {
             } else {
                 (e, e)
             };
-            let new_t = self.make_node(x, t1, e1); // f_{y=1}
-            let new_e = self.make_node(x, t0, e0); // f_{y=0}
+            let new_t = self.swap_child(x, t1, e1); // f_{y=1}
+            let new_e = self.swap_child(x, t0, e0); // f_{y=0}
             debug_assert_ne!(new_t, new_e, "swap produced a redundant node");
             debug_assert!(!new_t.is_complemented(), "polarity flip in swap");
             let old_key = nd.key();
@@ -124,12 +181,35 @@ impl Robdd {
             let new_key = self.node(id).key();
             debug_assert!(self.subtables[y as usize].get(&new_key).is_none());
             self.subtables[y as usize].insert(new_key, id);
+            if counting {
+                self.refs.inc(new_t.node());
+                self.refs.inc(new_e.node());
+                released.extend([t.node(), e.node()]);
+            }
         }
         self.var_at_pos.swap(pos, pos + 1);
         self.pos_of_var[self.var_at_pos[pos] as usize] = pos as u32;
         self.pos_of_var[self.var_at_pos[pos + 1] as usize] = (pos + 1) as u32;
+        let dead: Vec<u32> = released
+            .into_iter()
+            .filter(|&id| self.refs.dec(id))
+            .collect();
+        self.free_dead(dead);
         self.stats.swaps += 1;
         ddcore::obs::prof_record(ddcore::obs::Op::Swap, timer);
+    }
+
+    /// `make_node` for one of a swap's new `x`-level children. While the
+    /// reference counts are up, a node it creates starts at zero and
+    /// counts its own two children.
+    fn swap_child(&mut self, x: u16, t: Edge, e: Edge) -> Edge {
+        let created = self.stats.nodes_created;
+        let r = self.make_node(x, t, e);
+        if self.refs.is_active() && self.stats.nodes_created != created {
+            self.refs.inc(t.node());
+            self.refs.inc(e.node());
+        }
+        r
     }
 
     /// Sift all variables once with default settings; returns the live
@@ -209,7 +289,6 @@ impl Robdd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge::Edge;
 
     fn truth_of(mgr: &Robdd, f: Edge, n: usize) -> Vec<bool> {
         (0..1u32 << n)
