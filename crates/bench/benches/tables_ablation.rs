@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddcore::cantor::CantorHasher;
 use ddcore::fxhash::FxHasher;
-use ddcore::table::{BucketTable, OpenTable, TableKey};
+use ddcore::table::{OpenTable, TableKey};
 use ddcore::ComputedCache;
 use std::hash::Hasher as _;
 
@@ -58,7 +58,7 @@ fn bench_unique_table_hashing(c: &mut Criterion) {
     let data = keys(100_000);
     group.bench_function("cantor_adaptive", |b| {
         b.iter(|| {
-            let mut t: BucketTable<CantorKey> = BucketTable::new(64);
+            let mut t: OpenTable<CantorKey> = OpenTable::new(64);
             for (i, &(x, y, z)) in data.iter().enumerate() {
                 let k = CantorKey(x, y, z);
                 if t.get(&k).is_none() {
@@ -70,42 +70,9 @@ fn bench_unique_table_hashing(c: &mut Criterion) {
     });
     group.bench_function("fx_multiplicative", |b| {
         b.iter(|| {
-            let mut t: BucketTable<FxKey> = BucketTable::new(64);
+            let mut t: OpenTable<FxKey> = OpenTable::new(64);
             for (i, &(x, y, z)) in data.iter().enumerate() {
                 let k = FxKey(x, y, z);
-                if t.get(&k).is_none() {
-                    t.insert(k, i as u32);
-                }
-            }
-            t.len()
-        });
-    });
-    group.finish();
-}
-
-/// Chained vs open-addressed unique table on the same key trace — the
-/// head-to-head behind the `chained_tables` feature flag.
-fn bench_table_layout(c: &mut Criterion) {
-    let mut group = c.benchmark_group("unique_table_layout");
-    group.sample_size(20);
-    let data = keys(100_000);
-    group.bench_function("chained_bucket", |b| {
-        b.iter(|| {
-            let mut t: BucketTable<CantorKey> = BucketTable::new(64);
-            for (i, &(x, y, z)) in data.iter().enumerate() {
-                let k = CantorKey(x, y, z);
-                if t.get(&k).is_none() {
-                    t.insert(k, i as u32);
-                }
-            }
-            t.len()
-        });
-    });
-    group.bench_function("open_addressed", |b| {
-        b.iter(|| {
-            let mut t: OpenTable<CantorKey> = OpenTable::new(64);
-            for (i, &(x, y, z)) in data.iter().enumerate() {
-                let k = CantorKey(x, y, z);
                 if t.get(&k).is_none() {
                     t.insert(k, i as u32);
                 }
@@ -158,7 +125,6 @@ fn bench_end_to_end_build(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_unique_table_hashing,
-    bench_table_layout,
     bench_cache_size_sensitivity,
     bench_end_to_end_build
 );

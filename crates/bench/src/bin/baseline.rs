@@ -6,7 +6,6 @@
 //! PRs have a perf trajectory to compare against.
 //!
 //! Usage: `cargo run --release -p bbdd-bench --bin baseline [-- out.json]`
-//! (add `--features chained_tables` for the seed-table ablation variant).
 
 use bbdd::{Bbdd, BbddManager, BoolOp, Edge};
 use bbdd_bench::{fig2, table1, timed};
@@ -203,14 +202,9 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_ops.json".to_string());
-    let variant = if cfg!(feature = "chained_tables") {
-        "chained_tables"
-    } else {
-        "open_tables"
-    };
 
     // Host/build provenance, so a baseline JSON is interpretable on its
-    // own: thread count, table variant, toolchain and source revision.
+    // own: thread count, toolchain and source revision.
     let host_threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -232,10 +226,9 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(
         json,
-        "  \"meta\": {{\"host_threads\": {host_threads}, \"table_variant\": \"{variant}\", \
-         \"git_rev\": \"{git_rev}\", \"rustc\": \"{rustc_version}\"}},"
+        "  \"meta\": {{\"host_threads\": {host_threads}, \"git_rev\": \"{git_rev}\", \
+         \"rustc\": \"{rustc_version}\"}},"
     );
-    let _ = writeln!(json, "  \"variant\": \"{variant}\",");
 
     // Quick Table-I subset: build + sift, both packages.
     let quick = ["my_adder", "comp", "misex1", "9symml", "parity", "cordic"];

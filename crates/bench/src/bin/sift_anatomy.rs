@@ -7,7 +7,6 @@
 //!
 //! Usage:
 //!   cargo run --release -p bbdd-bench --bin sift_anatomy -- <bbdd|robdd> [netlist...]
-//!   cargo run --release -p bbdd-bench --bin sift_anatomy --features chained_tables -- ...
 //!
 //! Without netlist names it runs the five `circuit_sift` benchmark
 //! netlists: misex3, alu4, count, frg1 and C1908.
@@ -98,13 +97,8 @@ fn main() {
     } else {
         DEFAULT_NETLISTS.to_vec()
     };
-    let variant = if cfg!(feature = "chained_tables") {
-        "chained"
-    } else {
-        "open"
-    };
     obs::set_profile_enabled(true);
-    println!("sift anatomy: {pkg} [{variant} tables], one FullSift per netlist after build + gc");
+    println!("sift anatomy: {pkg}, one FullSift per netlist after build + gc");
     println!(
         "{:<8} {:>5} {:>7} {:>9} {:>7} {:>9} {:>8} {:>7} {:>8} {:>8}",
         "netlist",

@@ -7,7 +7,7 @@ use crate::node::{Node, NodeKey, TERMINAL_LEVEL};
 use ddcore::cache::ComputedCache;
 use ddcore::govern::{OpAbort, OpBudget};
 use ddcore::roots::RootSet;
-use ddcore::table::UniqueTable;
+use ddcore::table::OpenTable;
 
 /// Statistics counters exposed for the benchmark harness.
 #[derive(Debug, Clone, Copy, Default)]
@@ -93,7 +93,7 @@ pub struct Bbdd {
     pub(crate) nodes: Vec<Node>,
     free: Vec<u32>,
     /// One unique subtable per bottom-based level.
-    pub(crate) subtables: Vec<UniqueTable<NodeKey>>,
+    pub(crate) subtables: Vec<OpenTable<NodeKey>>,
     /// `var_at_level[l]` = variable whose PV sits at level `l`.
     pub(crate) var_at_level: Vec<u32>,
     /// Inverse map: `level_of_var[v]` = bottom-based level of variable `v`.
@@ -143,7 +143,7 @@ impl Bbdd {
         Bbdd {
             nodes: vec![Node::terminal()],
             free: Vec::new(),
-            subtables: (0..n).map(|_| UniqueTable::new(64)).collect(),
+            subtables: (0..n).map(|_| OpenTable::new(64)).collect(),
             var_at_level,
             level_of_var,
             cache: ComputedCache::default(),
@@ -241,13 +241,13 @@ impl Bbdd {
     /// Current number of live (stored) nodes, excluding the sink.
     #[must_use]
     pub fn live_nodes(&self) -> usize {
-        self.subtables.iter().map(UniqueTable::len).sum()
+        self.subtables.iter().map(OpenTable::len).sum()
     }
 
     /// Nodes stored at each level, bottom level first (used by sifting).
     #[must_use]
     pub fn level_sizes(&self) -> Vec<usize> {
-        self.subtables.iter().map(UniqueTable::len).collect()
+        self.subtables.iter().map(OpenTable::len).collect()
     }
 
     /// Aggregate unique-table statistics summed over all level subtables.
@@ -320,7 +320,6 @@ impl Bbdd {
         m.counter("table.hits", t.hits);
         m.counter("table.resizes", t.resizes);
         m.counter("table.rearrangements", t.rearrangements);
-        m.counter("table.tombstone_repairs", t.batched_repairs);
         m.counter("gc.runs", s.gc_runs);
         m.counter("gc.nodes_freed", s.nodes_freed);
         m.counter("gc.latch_firings", self.gc_latch.firings());

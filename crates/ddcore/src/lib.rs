@@ -8,10 +8,8 @@
 //!    table-size modulo ([`cantor`]);
 //! 2. an **adaptive hash table** used as the *unique table*, which resizes
 //!    on load and can re-arrange its hash function when collision
-//!    statistics degrade ([`table`]). Two implementations exist: the
-//!    cache-friendly open-addressed [`table::OpenTable`] (default) and the
-//!    seed's chained [`table::BucketTable`] (the `chained_tables` ablation
-//!    feature); [`table::UniqueTable`] aliases the selected one;
+//!    statistics degrade ([`table`]): the cache-friendly open-addressed
+//!    [`table::OpenTable`], with tombstone-free deletion at every size;
 //! 3. an **overwrite-on-collision cache** used as the *computed table*,
 //!    2-way set-associative with an age-based victim bit ([`cache`]).
 //!
@@ -97,4 +95,4 @@ pub use session::{
     SharedBase,
 };
 pub use stats::TableStats;
-pub use table::{BucketTable, OpenTable, UniqueTable, NIL};
+pub use table::{OpenTable, NIL};

@@ -15,9 +15,6 @@ pub struct TableStats {
     pub resizes: u64,
     /// Number of times the hash function was re-arranged.
     pub rearrangements: u64,
-    /// Batched tombstone-compaction sweeps run by the deferred-repair
-    /// deletion regime (small open-addressed tables only).
-    pub batched_repairs: u64,
 }
 
 impl TableStats {
@@ -49,7 +46,6 @@ impl TableStats {
         self.hits += other.hits;
         self.resizes += other.resizes;
         self.rearrangements += other.rearrangements;
-        self.batched_repairs += other.batched_repairs;
     }
 
     /// Reset the windowed counters (kept: resizes, rearrangements).

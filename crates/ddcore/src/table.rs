@@ -1,30 +1,21 @@
-//! The adaptive hash tables backing the *unique tables* of both
+//! The adaptive hash table backing the *unique tables* of both
 //! decision-diagram packages (paper §IV-A1, §IV-A3).
 //!
-//! Two implementations share one API and the paper's adaptive behaviour
-//! (resize on load; rotate the Cantor-pairing nesting order and reduction
-//! prime, then rehash, when collision statistics stay poor after a resize):
-//!
-//! * [`OpenTable`] — the default: an open-addressed linear-probing table
-//!   split swiss-table-style into a dense control array of cached hashes
-//!   and a parallel inline key/value array, so a probe sequence is one
-//!   compact memory stream instead of a pointer chase. Deletion is
-//!   *adaptive*: large tables backward-shift eagerly (no tombstones, probe
-//!   sequences never grow stale); small L1-resident tables defer hole
-//!   repair to a batched sweep, which keeps the remove/insert churn of
-//!   sifting cheap on tiny subtables (each level swap removes and
-//!   re-inserts the nodes it rewrites and removes the ones it frees).
-//! * [`BucketTable`] — the seed implementation: per-bucket linked lists
-//!   threaded through a side `entries` array. Kept for the
-//!   `chained_tables` ablation feature and the `tables_ablation` bench.
-//!
-//! [`UniqueTable`] aliases the implementation selected by the feature flag;
-//! the managers build against the alias.
+//! [`OpenTable`] is an open-addressed linear-probing table split
+//! swiss-table-style into a dense control array of cached hashes and a
+//! parallel inline key/value array, so a probe sequence is one compact
+//! memory stream instead of a pointer chase. It follows the paper's
+//! adaptive behaviour: it resizes on load (75%), and it rotates the
+//! Cantor-pairing nesting order and reduction prime, then rehashes, when
+//! the probe statistics stay poor. Deletion is tombstone-free at every
+//! size: `remove` backward-shifts the displaced run after the hole, and
+//! `retain` (the GC sweep) punches its holes and then repairs the whole
+//! table in one anchored pass.
 
 use crate::cantor::CantorHasher;
 use crate::stats::TableStats;
 
-/// Sentinel for "no entry" in bucket chains and open-addressed slots.
+/// Sentinel value held in the payload of empty slots.
 pub const NIL: u32 = u32::MAX;
 
 /// Keys stored in a unique table must expose Cantor-hashable content.
@@ -36,390 +27,12 @@ pub trait TableKey: Copy + Eq + Default {
     fn table_hash(&self, hasher: &CantorHasher) -> u64;
 }
 
-/// The unique-table implementation managers compile against: the
-/// open-addressed [`OpenTable`] by default, the chained [`BucketTable`]
-/// under the `chained_tables` feature (ablation baseline).
-#[cfg(not(feature = "chained_tables"))]
-pub type UniqueTable<K> = OpenTable<K>;
-
-/// The unique-table implementation managers compile against (chained
-/// variant selected).
-#[cfg(feature = "chained_tables")]
-pub type UniqueTable<K> = BucketTable<K>;
-
-#[derive(Debug, Clone, Copy)]
-struct Entry<K> {
-    key: K,
-    val: u32,
-    next: u32,
-}
-
-/// A chained hash map `K -> u32` with Cantor-pairing hashing and adaptive
-/// resize/rearrange behaviour.
-///
-/// ```
-/// use ddcore::table::{BucketTable, TableKey};
-/// use ddcore::cantor::CantorHasher;
-///
-/// #[derive(Clone, Copy, PartialEq, Eq, Default)]
-/// struct Pair(u32, u32);
-/// impl TableKey for Pair {
-///     fn table_hash(&self, h: &CantorHasher) -> u64 {
-///         h.hash2(self.0 as u64, self.1 as u64)
-///     }
-/// }
-///
-/// let mut t = BucketTable::new(4);
-/// t.insert(Pair(1, 2), 42);
-/// assert_eq!(t.get(&Pair(1, 2)), Some(42));
-/// assert_eq!(t.get(&Pair(2, 1)), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BucketTable<K> {
-    buckets: Vec<u32>,
-    entries: Vec<Entry<K>>,
-    free: u32,
-    len: usize,
-    hasher: CantorHasher,
-    stats: TableStats,
-    /// Rearrangement is only attempted when resizing alone did not help;
-    /// this latch avoids thrashing.
-    probes_since_adapt: u64,
-    lookups_since_adapt: u64,
-}
-
-impl<K: TableKey> Default for BucketTable<K> {
-    fn default() -> Self {
-        Self::new(64)
-    }
-}
-
-impl<K: TableKey> BucketTable<K> {
-    /// Chain length (probes per lookup) above which the table adapts.
-    const ADAPT_PROBE_THRESHOLD: f64 = 4.0;
-    /// Minimum lookups in a window before adaptation decisions are made.
-    const ADAPT_WINDOW: u64 = 4096;
-
-    /// Create a table with at least `initial_buckets` buckets.
-    #[must_use]
-    pub fn new(initial_buckets: usize) -> Self {
-        let n = initial_buckets.next_power_of_two().max(4);
-        Self {
-            buckets: vec![NIL; n],
-            entries: Vec::new(),
-            free: NIL,
-            len: 0,
-            hasher: CantorHasher::new(),
-            stats: TableStats::default(),
-            probes_since_adapt: 0,
-            lookups_since_adapt: 0,
-        }
-    }
-
-    /// Number of key/value pairs stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the table holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Access the collision/access statistics.
-    #[must_use]
-    pub fn stats(&self) -> &TableStats {
-        &self.stats
-    }
-
-    /// The hasher currently in use (exposed for diagnostics and benches).
-    #[must_use]
-    pub fn hasher(&self) -> &CantorHasher {
-        &self.hasher
-    }
-
-    #[inline]
-    fn bucket_of(&self, key: &K) -> usize {
-        // First modulo with the big prime happens inside the hasher; the
-        // final modulo resizes the result to the current table size.
-        (key.table_hash(&self.hasher) % self.buckets.len() as u64) as usize
-    }
-
-    /// Look up `key`, returning the stored value if present.
-    pub fn get(&mut self, key: &K) -> Option<u32> {
-        let b = self.bucket_of(key);
-        let mut cur = self.buckets[b];
-        let mut probes = 1u64;
-        self.stats.lookups += 1;
-        self.lookups_since_adapt += 1;
-        while cur != NIL {
-            let e = &self.entries[cur as usize];
-            if &e.key == key {
-                self.stats.probes += probes;
-                self.probes_since_adapt += probes;
-                self.stats.hits += 1;
-                return Some(e.val);
-            }
-            probes += 1;
-            cur = e.next;
-        }
-        self.stats.probes += probes;
-        self.probes_since_adapt += probes;
-        None
-    }
-
-    /// Read-only lookup: no statistics, no adaptation. This is the probe
-    /// the parallel managers use against a *frozen* base table shared
-    /// across worker threads (`&self` access is safe to run concurrently).
-    #[must_use]
-    pub fn peek(&self, key: &K) -> Option<u32> {
-        let b = (key.table_hash(&self.hasher) % self.buckets.len() as u64) as usize;
-        let mut cur = self.buckets[b];
-        while cur != NIL {
-            let e = &self.entries[cur as usize];
-            if &e.key == key {
-                return Some(e.val);
-            }
-            cur = e.next;
-        }
-        None
-    }
-
-    /// Combined lookup-or-insert: walks the chain once, calling `make`
-    /// only on a miss. Equivalent to `get` followed by `insert`, but the
-    /// key is hashed a single time — the shape of `make_node`'s hot path.
-    pub fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> u32) -> u32 {
-        if self.len >= self.buckets.len() {
-            self.grow();
-        }
-        let b = self.bucket_of(&key);
-        let mut cur = self.buckets[b];
-        let mut probes = 1u64;
-        self.stats.lookups += 1;
-        self.lookups_since_adapt += 1;
-        while cur != NIL {
-            let e = &self.entries[cur as usize];
-            if e.key == key {
-                self.stats.probes += probes;
-                self.probes_since_adapt += probes;
-                self.stats.hits += 1;
-                return e.val;
-            }
-            probes += 1;
-            cur = e.next;
-        }
-        self.stats.probes += probes;
-        self.probes_since_adapt += probes;
-        let val = make();
-        let slot = if self.free != NIL {
-            let s = self.free;
-            self.free = self.entries[s as usize].next;
-            s
-        } else {
-            self.entries.push(Entry {
-                key,
-                val,
-                next: NIL,
-            });
-            (self.entries.len() - 1) as u32
-        };
-        let e = &mut self.entries[slot as usize];
-        e.key = key;
-        e.val = val;
-        e.next = self.buckets[b];
-        self.buckets[b] = slot;
-        self.len += 1;
-        self.maybe_adapt();
-        val
-    }
-
-    /// Insert `key -> val`. The caller must ensure the key is not already
-    /// present (unique-table discipline: always `get` first).
-    pub fn insert(&mut self, key: K, val: u32) {
-        if self.len >= self.buckets.len() {
-            self.grow();
-        }
-        let b = self.bucket_of(&key);
-        let slot = if self.free != NIL {
-            let s = self.free;
-            self.free = self.entries[s as usize].next;
-            s
-        } else {
-            self.entries.push(Entry {
-                key,
-                val,
-                next: NIL,
-            });
-            (self.entries.len() - 1) as u32
-        };
-        let e = &mut self.entries[slot as usize];
-        e.key = key;
-        e.val = val;
-        e.next = self.buckets[b];
-        self.buckets[b] = slot;
-        self.len += 1;
-        self.maybe_adapt();
-    }
-
-    /// Remove `key`, returning its value if it was present.
-    pub fn remove(&mut self, key: &K) -> Option<u32> {
-        let b = self.bucket_of(key);
-        let mut cur = self.buckets[b];
-        let mut prev = NIL;
-        while cur != NIL {
-            let (k, next) = {
-                let e = &self.entries[cur as usize];
-                (e.key, e.next)
-            };
-            if &k == key {
-                if prev == NIL {
-                    self.buckets[b] = next;
-                } else {
-                    self.entries[prev as usize].next = next;
-                }
-                let val = self.entries[cur as usize].val;
-                self.entries[cur as usize].next = self.free;
-                self.free = cur;
-                self.len -= 1;
-                return Some(val);
-            }
-            prev = cur;
-            cur = next;
-        }
-        None
-    }
-
-    /// Keep only the entries for which `keep(key, value)` holds
-    /// (garbage-collection sweep). Shrinks the bucket array when occupancy
-    /// drops far below capacity, so repeated sweeps stay proportional to
-    /// the live size rather than the high-water mark.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, u32) -> bool) {
-        for b in 0..self.buckets.len() {
-            let mut cur = self.buckets[b];
-            let mut prev = NIL;
-            while cur != NIL {
-                let (k, v, next) = {
-                    let e = &self.entries[cur as usize];
-                    (e.key, e.val, e.next)
-                };
-                if keep(&k, v) {
-                    prev = cur;
-                } else {
-                    if prev == NIL {
-                        self.buckets[b] = next;
-                    } else {
-                        self.entries[prev as usize].next = next;
-                    }
-                    self.entries[cur as usize].next = self.free;
-                    self.free = cur;
-                    self.len -= 1;
-                }
-                cur = next;
-            }
-        }
-        if self.buckets.len() > 64 && self.len * 4 < self.buckets.len() {
-            let target = (self.len * 2).next_power_of_two().max(64);
-            self.rebuild(target);
-        }
-    }
-
-    /// Iterate over all `(key, value)` pairs (order unspecified).
-    pub fn for_each(&self, mut f: impl FnMut(&K, u32)) {
-        for b in 0..self.buckets.len() {
-            let mut cur = self.buckets[b];
-            while cur != NIL {
-                let e = &self.entries[cur as usize];
-                f(&e.key, e.val);
-                cur = e.next;
-            }
-        }
-    }
-
-    /// Collect all stored values.
-    #[must_use]
-    pub fn values(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.len);
-        self.for_each(|_, v| out.push(v));
-        out
-    }
-
-    /// Drop all entries, keeping allocation and hasher configuration.
-    pub fn clear(&mut self) {
-        self.buckets.fill(NIL);
-        self.entries.clear();
-        self.free = NIL;
-        self.len = 0;
-    }
-
-    fn grow(&mut self) {
-        let new_size = (self.buckets.len() * 2).max(4);
-        self.rebuild(new_size);
-        self.stats.resizes += 1;
-    }
-
-    /// The adaptive step: if after the last resize the average chain length
-    /// in the current window still exceeds the threshold, rotate the hash
-    /// arrangement / prime and rehash (paper §IV-A3: "the hash-function is
-    /// automatically modified to re-arrange the elements in the table").
-    fn maybe_adapt(&mut self) {
-        if self.lookups_since_adapt < Self::ADAPT_WINDOW {
-            return;
-        }
-        let avg = self.probes_since_adapt as f64 / self.lookups_since_adapt as f64;
-        self.probes_since_adapt = 0;
-        self.lookups_since_adapt = 0;
-        if avg > Self::ADAPT_PROBE_THRESHOLD && self.len <= self.buckets.len() {
-            self.hasher.rearrange();
-            self.rebuild(self.buckets.len());
-            self.stats.rearrangements += 1;
-        }
-    }
-
-    fn rebuild(&mut self, new_size: usize) {
-        let mut buckets = vec![NIL; new_size];
-        // Re-link every live entry into the new bucket array.
-        let live: Vec<u32> = {
-            let mut v = Vec::with_capacity(self.len);
-            for b in &self.buckets {
-                let mut cur = *b;
-                while cur != NIL {
-                    v.push(cur);
-                    cur = self.entries[cur as usize].next;
-                }
-            }
-            v
-        };
-        for slot in live {
-            let key = self.entries[slot as usize].key;
-            let b = (key.table_hash(&self.hasher) % new_size as u64) as usize;
-            self.entries[slot as usize].next = buckets[b];
-            buckets[b] = slot;
-        }
-        self.buckets = buckets;
-    }
-}
-
 /// Marker bit keeping decorated hashes nonzero (`0` = empty slot in the
 /// control array).
 const HASH_TAG: u32 = 1 << 31;
 
-/// Control value of a *deferred* deletion: probe sequences scan through it
-/// (unlike an empty slot), inserts may reuse it, and a batched sweep
-/// eventually compacts it away. Distinguishable from both empty (`0`) and
-/// live slots (which carry [`HASH_TAG`]).
-const TOMBSTONE: u32 = 1;
-
-/// Is a control value a live (decorated-hash) entry?
-#[inline]
-fn ctrl_live(c: u32) -> bool {
-    c & HASH_TAG != 0
-}
-
 /// An open-addressed linear-probing hash map `K -> u32` with Cantor-pairing
-/// hashing and the same adaptive resize/rearrange behaviour as
-/// [`BucketTable`].
+/// hashing and adaptive resize/rearrange behaviour.
 ///
 /// Layout is split swiss-table-style into two parallel arrays:
 ///
@@ -429,18 +42,9 @@ fn ctrl_live(c: u32) -> bool {
 /// * a **data array** of `(key, value)` pairs, read only to confirm a hash
 ///   match and written only on insert.
 ///
-/// Misses therefore scan a compact stream (instead of chasing `entries`
-/// pointers as the chained table does), and the hot `get`-then-`insert`
+/// Misses therefore scan a compact stream, and the hot `get`-then-`insert`
 /// pattern of `make_node` stays within one or two cache lines per table
-/// touch. Deletion adapts to the table's size: past
-/// [`OpenTable::DEFER_REPAIR_MAX_CAP`] slots the displaced run following a
-/// hole is backward-shifted immediately (tombstone-free, probe sequences
-/// never grow stale); at or below it — where the control array is
-/// L1-resident and repair work dominates the probes it saves — deletions
-/// tombstone the slot, and hole repair is batched: the GC sweep compacts
-/// all accumulated tombstones once they reach half of capacity, the
-/// insert paths reuse and recycle them under load, and a drain backstop
-/// bounds remove-only workloads.
+/// touch. Every probe run is contiguous: no deletion leaves a tombstone.
 ///
 /// ```
 /// use ddcore::table::{OpenTable, TableKey};
@@ -473,17 +77,9 @@ pub struct OpenTable<K> {
     stats: TableStats,
     probes_since_adapt: u64,
     lookups_since_adapt: u64,
-    /// Reused survivor buffer for [`OpenTable::retain`] /
-    /// [`OpenTable::grow`], so repeated collections allocate nothing in
-    /// steady state.
+    /// Reused survivor buffer for [`OpenTable::rebuild`], so repeated
+    /// resizes and shrinking collections allocate nothing in steady state.
     scratch: Vec<(u32, K, u32)>,
-    /// Reused punched-hole index buffer for [`OpenTable::retain`]'s
-    /// sparse-death fast path (same no-allocation rationale).
-    holes: Vec<usize>,
-    /// Deferred deletions currently marked [`TOMBSTONE`] in the control
-    /// array (only ever non-zero while the table is small enough for the
-    /// deferred-repair regime; see [`OpenTable::DEFER_REPAIR_MAX_CAP`]).
-    tombstones: usize,
 }
 
 impl<K: TableKey> Default for OpenTable<K> {
@@ -499,21 +95,6 @@ impl<K: TableKey> OpenTable<K> {
     const ADAPT_PROBE_THRESHOLD: f64 = 6.0;
     /// Minimum lookups in a window before adaptation decisions are made.
     const ADAPT_WINDOW: u64 = 4096;
-    /// Control-array capacity (slots) at or below which deletions are
-    /// *deferred*: the slot becomes a tombstone instead of triggering
-    /// backward-shift / hole-repair work, and a batched sweep compacts the
-    /// table once tombstones reach half of capacity. At 4096 slots the
-    /// control array is 16 KiB — L1-resident — where probing through a few
-    /// tombstones is nearly free while per-deletion repair measurably is
-    /// not (the `sift robdd/misex1` regression root-caused in DESIGN.md).
-    /// Larger tables keep the eager tombstone-free scheme, which wins once
-    /// probe runs leave L1.
-    pub const DEFER_REPAIR_MAX_CAP: usize = 4096;
-    /// Tombstone fraction (1/`SWEEP_TOMBSTONE_DIV` of capacity) that
-    /// triggers the batched compaction sweep — half of capacity; sweeping
-    /// more often (every capacity/4 tombstones) was measured to cost more
-    /// than the repairs it saves (see DESIGN.md).
-    const SWEEP_TOMBSTONE_DIV: usize = 2;
 
     /// Create a table with room for at least `initial_capacity` entries
     /// before the first resize.
@@ -530,8 +111,6 @@ impl<K: TableKey> OpenTable<K> {
             probes_since_adapt: 0,
             lookups_since_adapt: 0,
             scratch: Vec::new(),
-            holes: Vec::new(),
-            tombstones: 0,
         }
     }
 
@@ -621,10 +200,9 @@ impl<K: TableKey> OpenTable<K> {
     }
 
     /// Combined lookup-or-insert: probes once, calling `make` only on a
-    /// miss and placing its value at the first tombstone on the probe path
-    /// (or the terminal empty slot). Equivalent to `get` followed by
-    /// `insert`, but the key is hashed and the table probed a single time —
-    /// the shape of `make_node`'s hot path.
+    /// miss and placing its value at the terminal empty slot. Equivalent to
+    /// `get` followed by `insert`, but the key is hashed and the table
+    /// probed a single time — the shape of `make_node`'s hot path.
     pub fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> u32) -> u32 {
         // Growing up front keeps the terminal probe slot valid for the
         // insert; the wasted grow on a would-be hit is amortized away.
@@ -632,7 +210,6 @@ impl<K: TableKey> OpenTable<K> {
         let h = Self::fold(key.table_hash(&self.hasher));
         let mut i = self.home(h);
         let mut probes = 1u64;
-        let mut reuse: Option<usize> = None;
         self.stats.lookups += 1;
         self.lookups_since_adapt += 1;
         loop {
@@ -646,21 +223,14 @@ impl<K: TableKey> OpenTable<K> {
                 self.stats.hits += 1;
                 return self.data[i].1;
             }
-            if c == TOMBSTONE && reuse.is_none() {
-                reuse = Some(i);
-            }
             i = (i + 1) & self.mask;
             probes += 1;
         }
         self.stats.probes += probes;
         self.probes_since_adapt += probes;
         let val = make();
-        let slot = reuse.unwrap_or(i);
-        if self.ctrl[slot] == TOMBSTONE {
-            self.tombstones -= 1;
-        }
-        self.ctrl[slot] = h;
-        self.data[slot] = (key, val);
+        self.ctrl[i] = h;
+        self.data[i] = (key, val);
         self.len += 1;
         self.maybe_adapt();
         val
@@ -677,30 +247,20 @@ impl<K: TableKey> OpenTable<K> {
     }
 
     /// First-come-first-served placement of a pre-hashed entry (no growth,
-    /// no counting): the first non-live slot on the probe path — a
-    /// tombstone counts, which is what keeps remove+insert churn on a
-    /// deferred-repair table from growing probe runs.
+    /// no counting): the first empty slot on its probe path.
     #[inline]
     fn insert_raw(&mut self, h: u32, key: K, val: u32) {
         let mut i = self.home(h);
-        while ctrl_live(self.ctrl[i]) {
+        while self.ctrl[i] != 0 {
             i = (i + 1) & self.mask;
-        }
-        if self.ctrl[i] == TOMBSTONE {
-            self.tombstones -= 1;
         }
         self.ctrl[i] = h;
         self.data[i] = (key, val);
     }
 
-    /// Remove `key`, returning its value if it was present.
-    ///
-    /// Deletion strategy is adaptive: on a small (L1-resident) table the
-    /// slot is tombstoned and hole repair is deferred to a batched sweep —
-    /// level swaps remove nodes one at a time, and at that size repairing
-    /// each hole costs more than probing past it; on a large table the
-    /// displaced run is backward-shifted immediately, leaving no tombstone
-    /// behind.
+    /// Remove `key`, returning its value if it was present. The displaced
+    /// run following the hole is backward-shifted at once, so no tombstone
+    /// is left behind.
     pub fn remove(&mut self, key: &K) -> Option<u32> {
         let h = Self::fold(key.table_hash(&self.hasher));
         let mut i = self.home(h);
@@ -716,96 +276,17 @@ impl<K: TableKey> OpenTable<K> {
         }
         let val = self.data[i].1;
         self.len -= 1;
-        if self.defer_repair() {
-            // Only the control word is written: the control array gates
-            // every read of `data`, so the stale payload is never seen.
-            self.ctrl[i] = TOMBSTONE;
-            self.tombstones += 1;
-            self.maybe_sweep_tombstones();
-        } else {
-            debug_assert_eq!(self.tombstones, 0, "large tables are tombstone-free");
-            self.backward_shift(i);
-        }
+        self.backward_shift(i);
         Some(val)
     }
 
-    /// Is the table in the deferred-repair (tombstoning) regime? Once any
-    /// tombstone exists, stay in the regime until a rebuild clears it, so
-    /// the eager paths never meet a tombstoned run.
-    #[inline]
-    fn defer_repair(&self) -> bool {
-        self.ctrl.len() <= Self::DEFER_REPAIR_MAX_CAP || self.tombstones > 0
-    }
-
-    /// The batched sweep backing deferred deletion: once tombstones reach
-    /// the [`Self::SWEEP_TOMBSTONE_DIV`] fraction of capacity, compact
-    /// every live entry back to its FCFS position in one pass (cost
-    /// amortized over the many deletions that paid nothing).
-    fn maybe_sweep_tombstones(&mut self) {
-        if self.tombstones * Self::SWEEP_TOMBSTONE_DIV >= self.ctrl.len() {
-            self.sweep_tombstones_now();
-        }
-    }
-
-    fn sweep_tombstones_now(&mut self) {
-        // Anchor: a slot that is empty *before* the sweep. No entry's
-        // probe run crosses a truly empty slot (runs contain only live and
-        // tombstoned slots), so repairs in anchored cyclic order never
-        // strand an already-repaired entry — the same argument as the
-        // eager retain's pass 2. One exists because load is capped at 75%.
-        let anchor = self
-            .ctrl
-            .iter()
-            .position(|&c| c == 0)
-            .expect("open table is never full");
-        // Turn every tombstone into a genuine hole (early-exit scan).
-        let mut remaining = self.tombstones;
-        for c in self.ctrl.iter_mut() {
-            if *c == TOMBSTONE {
-                *c = 0;
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
-                }
-            }
-        }
-        self.tombstones = 0;
-        // In-place FCFS repair: slide every displaced survivor back to the
-        // first empty slot on its probe path.
-        for k in 1..=self.ctrl.len() {
-            let i = (anchor + k) & self.mask;
-            let c = self.ctrl[i];
-            if c == 0 {
-                continue;
-            }
-            let mut j = self.home(c);
-            while j != i && self.ctrl[j] != 0 {
-                j = (j + 1) & self.mask;
-            }
-            if j != i {
-                self.ctrl[j] = c;
-                self.data[j] = self.data[i];
-                self.ctrl[i] = 0;
-            }
-        }
-        self.stats.batched_repairs += 1;
-    }
-
-    /// Growth gate for the insert paths: when tombstones are what pushes
-    /// the load factor over the cap, compact them instead of doubling the
-    /// capacity — a table bloated by deferred deletions would otherwise
-    /// keep growing (and its sweeps keep lengthening) under remove/insert
-    /// churn whose *live* population is stable.
+    /// Growth gate for the insert paths: double the capacity before an
+    /// insert would push the load factor past 75%.
     #[inline]
     fn maybe_grow(&mut self) {
-        if (self.len + self.tombstones + 1) * 4 <= self.ctrl.len() * 3 {
-            return;
-        }
-        if self.tombstones > 0 {
-            self.sweep_tombstones_now();
-        }
         if (self.len + 1) * 4 > self.ctrl.len() * 3 {
-            self.grow();
+            self.rebuild(self.ctrl.len() * 2, false);
+            self.stats.resizes += 1;
         }
     }
 
@@ -850,64 +331,6 @@ impl<K: TableKey> OpenTable<K> {
         if self.len == 0 {
             return;
         }
-        // Deferred-repair regime (small, L1-resident tables): judge each
-        // entry once, tombstone the dead, and skip hole repair entirely —
-        // the batched sweep pays it back later, so a collection of a tiny
-        // subtable costs one bounded scan and no repair work.
-        if self.defer_repair() {
-            let mut judged = 0usize;
-            let mut dead = 0usize;
-            let live = self.len;
-            for (c, kv) in self.ctrl.iter_mut().zip(self.data.iter()) {
-                if ctrl_live(*c) {
-                    if !keep(&kv.0, kv.1) {
-                        // Control-word write only; stale payloads are
-                        // gated off by the control array.
-                        *c = TOMBSTONE;
-                        dead += 1;
-                    }
-                    judged += 1;
-                    if judged == live {
-                        break;
-                    }
-                }
-            }
-            if dead == 0 {
-                return;
-            }
-            self.len -= dead;
-            self.tombstones += dead;
-            // Wider shrink hysteresis than the eager path: sifting moves
-            // whole levels back and forth between subtables, and a table
-            // that halves the moment occupancy dips below 25% thrashes
-            // resize cycles against the 75% grow threshold (measured on
-            // the misex1 sift when it still collected after every swap:
-            // 3x the chained table's resize count).
-            let mut target = self.ctrl.len();
-            while target > 16 && self.len * 8 < target {
-                target /= 2;
-            }
-            if target < self.ctrl.len() {
-                let mut survivors = std::mem::take(&mut self.scratch);
-                survivors.clear();
-                survivors.extend(
-                    self.ctrl
-                        .iter()
-                        .zip(&self.data)
-                        .filter(|(&c, _)| ctrl_live(c))
-                        .map(|(&c, &(k, v))| (c, k, v)),
-                );
-                self.rebuild_into(target, &mut survivors);
-                self.scratch = survivors;
-            } else if self.tombstones * Self::SWEEP_TOMBSTONE_DIV >= self.ctrl.len() {
-                // The GC is the batching point: one repair pass folds this
-                // sweep's deaths together with every tombstone the
-                // remove/insert churn deferred since the last sweep.
-                self.sweep_tombstones_now();
-            }
-            return;
-        }
-        debug_assert_eq!(self.tombstones, 0, "large tables are tombstone-free");
         // The anchor must be a slot that is empty *before* any hole is
         // punched, so that no entry's original probe path wraps across it;
         // one always exists because load is capped at 75%.
@@ -920,15 +343,14 @@ impl<K: TableKey> OpenTable<K> {
         // stopping as soon as all `len` live entries have been judged (the
         // control tail past the last entry is never touched). A sweep that
         // removes nothing ends here, having written nothing.
-        let mut holes = std::mem::take(&mut self.holes);
-        holes.clear();
+        let mut dead = 0usize;
         let mut judged = 0usize;
         let live = self.len;
-        for (i, (c, kv)) in self.ctrl.iter_mut().zip(&self.data).enumerate() {
+        for (c, kv) in self.ctrl.iter_mut().zip(&self.data) {
             if *c != 0 {
                 if !keep(&kv.0, kv.1) {
                     *c = 0;
-                    holes.push(i);
+                    dead += 1;
                 }
                 judged += 1;
                 if judged == live {
@@ -936,8 +358,6 @@ impl<K: TableKey> OpenTable<K> {
                 }
             }
         }
-        let dead = holes.len();
-        self.holes = holes;
         if dead == 0 {
             return;
         }
@@ -947,76 +367,9 @@ impl<K: TableKey> OpenTable<K> {
             target /= 2;
         }
         if target < self.ctrl.len() {
-            // Occupancy collapsed: shrink through the scratch buffer
-            // (entries are already judged — this just compacts).
-            let mut survivors = std::mem::take(&mut self.scratch);
-            survivors.clear();
-            survivors.extend(
-                self.ctrl
-                    .iter()
-                    .zip(&self.data)
-                    .filter(|(&c, _)| ctrl_live(c))
-                    .map(|(&c, &(k, v))| (c, k, v)),
-            );
-            self.rebuild_into(target, &mut survivors);
-            self.scratch = survivors;
-            return;
-        }
-        if dead * 8 < self.ctrl.len() {
-            // Sparse deaths (a collection that kills a handful of nodes):
-            // run the pass-2 FCFS repair
-            // *locally*, only over the cluster containing each hole —
-            // O(dead × cluster length) instead of the O(capacity)
-            // whole-table sweep below. A cluster is bounded by slots that
-            // were empty before this sweep; pre-punch probe paths never
-            // cross such a slot, so it is a valid local anchor, and
-            // entries beyond the cluster's far boundary need no repair.
-            // (Two holes sharing a cluster repair it twice; the second
-            // sweep moves nothing.) Pass 1 records holes in ascending slot
-            // order, so membership checks are binary searches — the guard
-            // admits up to capacity/8 deaths, where a linear `contains`
-            // per probed slot would dominate.
-            let holes = std::mem::take(&mut self.holes);
-            debug_assert!(holes.windows(2).all(|w| w[0] < w[1]));
-            for &h in &holes {
-                // Local anchor: nearest slot at or before `h` that is
-                // empty and is not itself a punched hole. One exists: load
-                // is capped at 75%, so at least capacity/4 slots are empty
-                // while fewer than capacity/8 are punched holes.
-                let mut a = h;
-                loop {
-                    a = a.wrapping_sub(1) & self.mask;
-                    if self.ctrl[a] == 0 && holes.binary_search(&a).is_err() {
-                        break;
-                    }
-                }
-                // FCFS repair from the anchor to the cluster's far
-                // boundary (the first empty slot that is not a punched
-                // hole). Moves only vacate slots behind the frontier.
-                let mut k = a;
-                loop {
-                    k = (k + 1) & self.mask;
-                    let c = self.ctrl[k];
-                    if c == 0 {
-                        if holes.binary_search(&k).is_ok() {
-                            continue;
-                        }
-                        break;
-                    }
-                    let mut j = self.home(c);
-                    while j != k && self.ctrl[j] != 0 {
-                        j = (j + 1) & self.mask;
-                    }
-                    if j != k {
-                        self.ctrl[j] = c;
-                        self.data[j] = self.data[k];
-                        self.ctrl[k] = 0;
-                        self.data[k] = (K::default(), NIL);
-                    }
-                }
-            }
-            self.holes = holes;
-            self.holes.clear();
+            // Occupancy collapsed: shrink (entries are already judged —
+            // this just compacts).
+            self.rebuild(target, false);
             return;
         }
         // Pass 2: repair reachability in place. Visiting slots in anchored
@@ -1047,7 +400,7 @@ impl<K: TableKey> OpenTable<K> {
     pub fn for_each(&self, mut f: impl FnMut(&K, u32)) {
         let mut seen = 0usize;
         for (c, kv) in self.ctrl.iter().zip(&self.data) {
-            if ctrl_live(*c) {
+            if *c != 0 {
                 f(&kv.0, kv.1);
                 seen += 1;
                 if seen == self.len {
@@ -1069,28 +422,12 @@ impl<K: TableKey> OpenTable<K> {
     pub fn clear(&mut self) {
         self.ctrl.fill(0);
         self.len = 0;
-        self.tombstones = 0;
     }
 
-    fn grow(&mut self) {
-        let mut live = std::mem::take(&mut self.scratch);
-        live.clear();
-        live.extend(
-            self.ctrl
-                .iter()
-                .zip(&self.data)
-                .filter(|(&c, _)| ctrl_live(c))
-                .map(|(&c, &(k, v))| (c, k, v)),
-        );
-        let target = self.ctrl.len() * 2;
-        self.rebuild_into(target, &mut live);
-        self.scratch = live;
-        self.stats.resizes += 1;
-    }
-
-    /// The adaptive step shared with [`BucketTable`]: if the average probe
-    /// length in the current window exceeds the threshold, rotate the hash
-    /// arrangement / prime and rehash every key (paper §IV-A3).
+    /// The adaptive step: if the average probe length in the current
+    /// window exceeds the threshold, rotate the hash arrangement / prime
+    /// and rehash every key (paper §IV-A3: "the hash-function is
+    /// automatically modified to re-arrange the elements in the table").
     fn maybe_adapt(&mut self) {
         if self.lookups_since_adapt < Self::ADAPT_WINDOW {
             return;
@@ -1100,44 +437,44 @@ impl<K: TableKey> OpenTable<K> {
         self.lookups_since_adapt = 0;
         if avg > Self::ADAPT_PROBE_THRESHOLD {
             self.hasher.rearrange();
-            let mut live = std::mem::take(&mut self.scratch);
-            live.clear();
-            live.extend(
-                self.ctrl
-                    .iter()
-                    .zip(&self.data)
-                    .filter(|(&c, _)| ctrl_live(c))
-                    .map(|(&c, &(k, v))| (c, k, v)),
-            );
-            for e in &mut live {
-                e.0 = Self::fold(e.1.table_hash(&self.hasher));
-            }
-            let target = self.ctrl.len();
-            self.rebuild_into(target, &mut live);
-            self.scratch = live;
+            self.rebuild(self.ctrl.len(), true);
             self.stats.rearrangements += 1;
         }
     }
 
-    /// Reset the arrays to `capacity` empty slots and re-place the drained
-    /// `entries` (decorated hashes assumed current). Reuses the existing
-    /// allocations when the capacity is unchanged. Tombstones do not
-    /// survive a rebuild.
-    fn rebuild_into(&mut self, capacity: usize, entries: &mut Vec<(u32, K, u32)>) {
+    /// Re-place every live entry into `capacity` empty slots (grow, shrink
+    /// or rearrange), through the reused scratch buffer. With `rehash` the
+    /// decorated hashes are recomputed under the current hasher; otherwise
+    /// the cached ones are kept.
+    fn rebuild(&mut self, capacity: usize, rehash: bool) {
+        let mut live = std::mem::take(&mut self.scratch);
+        live.clear();
+        live.extend(
+            self.ctrl
+                .iter()
+                .zip(&self.data)
+                .filter(|(&c, _)| c != 0)
+                .map(|(&c, &(k, v))| (c, k, v)),
+        );
+        debug_assert_eq!(live.len(), self.len);
+        if rehash {
+            for e in &mut live {
+                e.0 = Self::fold(e.1.table_hash(&self.hasher));
+            }
+        }
         let capacity = capacity.max(8).next_power_of_two();
         self.ctrl.clear();
         self.ctrl.resize(capacity, 0);
-        self.tombstones = 0;
         // The control array gates every read of `data`, so stale payloads
         // are harmless: only the newly appended region needs initializing,
         // which keeps a growth step from memsetting the whole payload
         // array inside someone's timed hot path.
         self.data.resize(capacity, (K::default(), NIL));
         self.mask = capacity - 1;
-        self.len = entries.len();
-        for (h, k, v) in entries.drain(..) {
+        for (h, k, v) in live.drain(..) {
             self.insert_raw(h, k, v);
         }
+        self.scratch = live;
     }
 }
 
@@ -1153,13 +490,31 @@ mod tests {
         }
     }
 
+    /// The linear-probing invariant every lookup relies on: no empty slot
+    /// lies between a live entry's home and the slot it occupies, and the
+    /// control array holds exactly `len` live entries.
+    fn assert_runs_contiguous<K: TableKey>(t: &OpenTable<K>) {
+        let mut live = 0;
+        for (i, &c) in t.ctrl.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            live += 1;
+            let mut j = t.home(c);
+            while j != i {
+                assert_ne!(t.ctrl[j], 0, "slot {i}: empty slot {j} on its probe path");
+                j = (j + 1) & t.mask;
+            }
+        }
+        assert_eq!(live, t.len(), "control array disagrees with len");
+    }
+
     #[test]
     fn open_retain_sparse_deaths_keeps_survivors_reachable() {
-        // Exercises retain's local-cluster repair path (dead ≪ capacity):
-        // repeated sweeps each killing a small pseudo-random subset — a
-        // collection that frees a few nodes — must leave every survivor
-        // reachable, including entries whose probe runs contained several
-        // holes.
+        // Repeated sweeps each killing a small pseudo-random subset — a
+        // collection that frees a few nodes — go through the whole-table
+        // repair and must leave every survivor reachable, including
+        // entries whose probe runs contained several holes.
         let mut t: OpenTable<K3> = OpenTable::new(256);
         let mut live: std::collections::HashSet<u32> = (0..500u32).collect();
         for i in 0..500u32 {
@@ -1167,7 +522,7 @@ mod tests {
         }
         let mut state = 0x5EEDu64;
         for round in 0..200 {
-            // Kill ~1% per sweep so dead*8 < capacity holds.
+            // Kill ~1% per sweep.
             let mut killed: Vec<u32> = Vec::new();
             t.retain(|_, v| {
                 state = state
@@ -1184,6 +539,7 @@ mod tests {
                 live.remove(&v);
             }
             assert_eq!(t.len(), live.len(), "round {round}");
+            assert_runs_contiguous(&t);
             for &i in &live {
                 assert_eq!(
                     t.get(&K3(i, i.wrapping_mul(2654435761), i ^ 0xABCD)),
@@ -1200,109 +556,118 @@ mod tests {
     }
 
     #[test]
-    fn open_deferred_remove_tombstones_then_sweeps() {
-        // A small (deferred-repair) table under remove/insert churn: every
-        // removal must tombstone instead of repairing, contents must stay
-        // exact, and sustained deletion pressure must trigger the batched
-        // sweep.
+    fn remove_and_reinsert_churn_keeps_runs_contiguous() {
+        // Sift-shaped churn: remove a live key and insert a fresh one (the
+        // node's tuple changed), now and then kill a few in a sweep and
+        // refill. Every step must keep the probe invariant; backward shift
+        // may not strand any entry.
         let mut t: OpenTable<K3> = OpenTable::new(64);
-        assert!(t.ctrl.len() <= OpenTable::<K3>::DEFER_REPAIR_MAX_CAP);
-        for i in 0..96u32 {
+        let mut live: Vec<u32> = (0..90u32).collect();
+        for &i in &live {
             t.insert(K3(i, i * 3, i ^ 1), i);
         }
-        let mut live: std::collections::HashMap<u32, u32> = (0..96u32).map(|i| (i, i)).collect();
+        let mut next = 90u32;
         let mut state = 0xC0FFEEu64;
-        for round in 0..600u32 {
+        for round in 0..2000u32 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let i = (state >> 33) as u32 % 200;
-            let k = K3(i, i * 3, i ^ 1);
-            if live.remove(&i).is_some() {
-                assert_eq!(t.remove(&k), Some(i), "round {round}");
-            } else {
-                assert_eq!(t.remove(&k), None, "round {round}");
-                t.insert(k, i);
-                live.insert(i, i);
+            let slot = (state >> 33) as usize % live.len();
+            let i = live[slot];
+            assert_eq!(t.remove(&K3(i, i * 3, i ^ 1)), Some(i), "round {round}");
+            assert_runs_contiguous(&t);
+            assert_eq!(
+                t.get_or_insert_with(K3(next, next * 3, next ^ 1), || next),
+                next
+            );
+            live[slot] = next;
+            next += 1;
+            if round % 97 == 0 {
+                t.retain(|_, v| v % 11 != round % 11);
+                live.retain(|v| v % 11 != round % 11);
+                while live.len() < 90 {
+                    t.insert(K3(next, next * 3, next ^ 1), next);
+                    live.push(next);
+                    next += 1;
+                }
             }
-            assert_eq!(t.len(), live.len());
+            assert_eq!(t.len(), live.len(), "round {round}");
+            assert_runs_contiguous(&t);
         }
-        for (&i, &v) in &live {
-            assert_eq!(t.get(&K3(i, i * 3, i ^ 1)), Some(v));
-        }
-        assert!(
-            t.stats().batched_repairs > 0,
-            "600 churn rounds must have triggered a batched sweep"
-        );
-    }
-
-    #[test]
-    fn open_deferred_retain_keeps_survivors_exact() {
-        // The deferred-repair retain path (small table): repeated sweeps
-        // punch tombstones without repair; every survivor stays reachable
-        // and killed keys stay gone, across sweeps and re-inserts.
-        let mut t: OpenTable<K3> = OpenTable::new(256);
-        for i in 0..300u32 {
-            t.insert(K3(i, 7, 9), i);
-        }
-        t.retain(|_, v| v % 3 != 0);
-        let expect: Vec<u32> = (0..300).filter(|v| v % 3 != 0).collect();
-        assert_eq!(t.len(), expect.len());
-        for i in 0..300u32 {
-            let want = (i % 3 != 0).then_some(i);
-            assert_eq!(t.get(&K3(i, 7, 9)), want, "key {i}");
-        }
-        // Tombstoned slots must be reusable by both insert paths.
-        for i in 1000..1100u32 {
-            assert_eq!(t.get_or_insert_with(K3(i, 7, 9), || i), i);
-        }
-        t.retain(|_, v| v >= 1000);
-        assert_eq!(t.len(), 100);
-        assert_eq!(t.get(&K3(1050, 7, 9)), Some(1050));
-        assert_eq!(t.get(&K3(100, 7, 9)), None);
-    }
-
-    #[test]
-    fn open_large_tables_stay_tombstone_free() {
-        // Past the deferral cap, remove must backward-shift eagerly (the
-        // eager regime's invariant is asserted in debug builds).
-        let n = (OpenTable::<K3>::DEFER_REPAIR_MAX_CAP * 2) as u32;
-        let mut t: OpenTable<K3> = OpenTable::new(n as usize);
-        for i in 0..n {
-            t.insert(K3(i, 1, 2), i);
-        }
-        assert!(t.ctrl.len() > OpenTable::<K3>::DEFER_REPAIR_MAX_CAP);
-        for i in (0..n).step_by(3) {
-            assert_eq!(t.remove(&K3(i, 1, 2)), Some(i));
-        }
-        assert_eq!(t.tombstones, 0);
-        for i in 0..n {
-            let want = (i % 3 != 0).then_some(i);
-            assert_eq!(t.get(&K3(i, 1, 2)), want);
+        for &i in &live {
+            assert_eq!(t.get(&K3(i, i * 3, i ^ 1)), Some(i));
         }
     }
 
     #[test]
-    fn peek_matches_get_on_both_tables() {
-        let mut open: OpenTable<K3> = OpenTable::new(32);
-        let mut chained: BucketTable<K3> = BucketTable::new(32);
+    fn retain_shrinks_when_occupancy_collapses() {
+        let mut t: OpenTable<K3> = OpenTable::new(4);
+        for i in 0..4000u32 {
+            t.insert(K3(i, 2, i), i);
+        }
+        let before = t.ctrl.len();
+        t.retain(|_, v| v % 100 == 0);
+        assert_eq!(t.len(), 40);
+        assert!(t.ctrl.len() < before / 8, "{} slots left", t.ctrl.len());
+        assert_runs_contiguous(&t);
+        for i in 0..4000u32 {
+            let want = (i % 100 == 0).then_some(i);
+            assert_eq!(t.get(&K3(i, 2, i)), want, "key {i}");
+        }
+    }
+
+    #[test]
+    fn retain_that_kills_nothing_writes_nothing() {
+        let mut t: OpenTable<K3> = OpenTable::new(64);
+        for i in 0..40u32 {
+            t.insert(K3(i, 0, 7), i);
+        }
+        let ctrl = t.ctrl.clone();
+        let mut judged = 0;
+        t.retain(|_, _| {
+            judged += 1;
+            true
+        });
+        assert_eq!(judged, 40, "each entry is judged exactly once");
+        assert_eq!(t.ctrl, ctrl);
+        assert_eq!(t.len(), 40);
+    }
+
+    #[test]
+    fn get_or_insert_with_calls_make_only_on_miss() {
+        let mut t: OpenTable<K3> = OpenTable::new(4);
+        let mut made = 0;
+        for round in 0..3 {
+            for i in 0..300u32 {
+                let v = t.get_or_insert_with(K3(i, 1, 1), || {
+                    made += 1;
+                    i + 5
+                });
+                assert_eq!(v, i + 5, "round {round} key {i}");
+            }
+        }
+        assert_eq!(made, 300);
+        assert_eq!(t.len(), 300);
+        assert_eq!(t.stats().hits, 600);
+    }
+
+    #[test]
+    fn peek_matches_get() {
+        let mut t: OpenTable<K3> = OpenTable::new(32);
         for i in 0..200u32 {
-            open.insert(K3(i, 5, i), i + 7);
-            chained.insert(K3(i, 5, i), i + 7);
+            t.insert(K3(i, 5, i), i + 7);
         }
-        open.remove(&K3(3, 5, 3));
-        chained.remove(&K3(3, 5, 3));
+        t.remove(&K3(3, 5, 3));
         for i in 0..210u32 {
             let want = (i < 200 && i != 3).then_some(i + 7);
-            assert_eq!(open.peek(&K3(i, 5, i)), want, "open {i}");
-            assert_eq!(chained.peek(&K3(i, 5, i)), want, "chained {i}");
+            assert_eq!(t.peek(&K3(i, 5, i)), want, "key {i}");
         }
-        let lookups_before = open.stats().lookups;
-        let _ = open.peek(&K3(0, 5, 0));
-        assert_eq!(open.stats().lookups, lookups_before, "peek counts nothing");
+        let lookups_before = t.stats().lookups;
+        let _ = t.peek(&K3(0, 5, 0));
+        assert_eq!(t.stats().lookups, lookups_before, "peek counts nothing");
     }
 
     #[test]
     fn insert_get_remove_roundtrip() {
-        let mut t: BucketTable<K3> = BucketTable::new(4);
+        let mut t: OpenTable<K3> = OpenTable::new(4);
         for i in 0..1000u32 {
             t.insert(K3(i, i * 7, i ^ 3), i);
         }
@@ -1323,7 +688,7 @@ mod tests {
 
     #[test]
     fn retain_sweeps_like_gc() {
-        let mut t: BucketTable<K3> = BucketTable::new(4);
+        let mut t: OpenTable<K3> = OpenTable::new(4);
         for i in 0..256u32 {
             t.insert(K3(i, 0, 0), i);
         }
@@ -1340,7 +705,7 @@ mod tests {
 
     #[test]
     fn grows_under_load() {
-        let mut t: BucketTable<K3> = BucketTable::new(4);
+        let mut t: OpenTable<K3> = OpenTable::new(4);
         for i in 0..10_000u32 {
             t.insert(K3(i, i, i), i);
         }
@@ -1352,7 +717,7 @@ mod tests {
 
     #[test]
     fn rearrangement_preserves_contents() {
-        let mut t: BucketTable<K3> = BucketTable::new(4);
+        let mut t: OpenTable<K3> = OpenTable::new(4);
         for i in 0..512u32 {
             t.insert(K3(i, 1, 2), i);
         }
@@ -1371,7 +736,7 @@ mod tests {
 
     #[test]
     fn clear_empties_table() {
-        let mut t: BucketTable<K3> = BucketTable::new(4);
+        let mut t: OpenTable<K3> = OpenTable::new(4);
         for i in 0..100u32 {
             t.insert(K3(i, 2, 3), i);
         }
@@ -1384,7 +749,7 @@ mod tests {
 
     #[test]
     fn values_and_for_each_enumerate_all() {
-        let mut t: BucketTable<K3> = BucketTable::new(4);
+        let mut t: OpenTable<K3> = OpenTable::new(4);
         for i in 0..50u32 {
             t.insert(K3(i, 0, 1), i + 100);
         }

@@ -1,14 +1,15 @@
 //! Randomized model checks and adaptation tests for the storage layer:
 //! the open-addressed unique table is driven against `std::HashMap` as a
-//! reference model (including the in-place GC sweep and both deletion
-//! regimes — eager backward shift and deferred tombstoning), tables are
-//! forced through resizes and hasher rearrangements, the 2-way computed
-//! cache through evictions and epoch invalidation, and the concurrent
-//! sharded table through racing multi-threaded insert storms.
+//! reference model (including backward-shift deletion, the in-place GC
+//! sweep at every kill density, and sift-shaped remove/re-insert churn on
+//! a small table), tables are forced through resizes and hasher
+//! rearrangements, the 2-way computed cache through evictions and epoch
+//! invalidation, and the concurrent sharded table through racing
+//! multi-threaded insert storms.
 
 use ddcore::cantor::CantorHasher;
 use ddcore::par::ShardedTable;
-use ddcore::table::{BucketTable, OpenTable, TableKey};
+use ddcore::table::{OpenTable, TableKey};
 use ddcore::ComputedCache;
 use std::collections::HashMap;
 
@@ -142,67 +143,133 @@ fn open_table_rearrangement_preserves_entries() {
     }
 }
 
-/// Deletion churn pinned inside the deferred-repair (L1-resident) regime:
-/// the key universe is small enough that the table never outgrows the
-/// deferral cap, so every removal tombstones and the batched sweep must
-/// eventually compact — all while agreeing with the reference model.
+/// Refill `t` and the model `m` with fresh keys until `keys` holds `pop`.
+fn refill(
+    t: &mut OpenTable<K2>,
+    m: &mut HashMap<K2, u32>,
+    keys: &mut Vec<K2>,
+    next: &mut u32,
+    pop: usize,
+) {
+    while keys.len() < pop {
+        let k = K2(*next % 211, *next / 211);
+        t.insert(k, *next);
+        m.insert(k, *next);
+        keys.push(k);
+        *next += 1;
+    }
+}
+
+/// Sift-shaped churn on a small table: a level swap removes each node it
+/// rewrites and re-inserts it, and a collection now and then kills part of
+/// the level. Over a stable live population, the table must agree with the
+/// reference model after every step, and it must never grow past the
+/// first capacity that fits the population (at most 4 096 slots) — no
+/// deletion may leave anything behind that counts against the load cap.
 #[test]
-fn open_table_deferred_repair_matches_reference_model() {
+fn open_table_small_churn_matches_reference_model() {
+    const POP: usize = 700;
     let mut rng = SplitMix(0xF1E2_D3C4);
     let mut t: OpenTable<K2> = OpenTable::new(64);
     let mut m: HashMap<K2, u32> = HashMap::new();
-    let mut next_val = 0u32;
-    for step in 0..60_000 {
+    let mut keys: Vec<K2> = Vec::new();
+    let mut next = 0u32;
+    refill(&mut t, &mut m, &mut keys, &mut next, POP);
+    // `new(64)` starts at 128 slots; growth doubles until POP fits under
+    // the 75% load cap.
+    let mut slots = 128usize;
+    let mut fit_resizes = 0;
+    while POP * 4 > slots * 3 {
+        slots *= 2;
+        fit_resizes += 1;
+    }
+    assert!(slots <= 4096);
+    assert_eq!(t.stats().resizes, fit_resizes);
+    for step in 0..6000 {
         let r = rng.next();
-        let k = K2((r % 29) as u32, ((r >> 8) % 17) as u32);
-        match r % 4 {
-            0 | 1 => {
-                let expect = m.get(&k).copied();
-                let v = t.get_or_insert_with(k, || next_val);
-                match expect {
-                    Some(e) => assert_eq!(v, e, "step {step}"),
-                    None => {
-                        m.insert(k, next_val);
-                        next_val += 1;
-                    }
-                }
-            }
-            2 => assert_eq!(t.remove(&k), m.remove(&k), "step {step}"),
-            _ => {
-                if r % 64 == 3 {
-                    m.retain(|_, v| *v % 7 != 0);
-                    t.retain(|_, v| v % 7 != 0);
-                } else {
-                    assert_eq!(t.get(&k), m.get(&k).copied(), "step {step}");
-                }
-            }
+        if r.is_multiple_of(64) {
+            let kill = (r >> 8) % 5;
+            m.retain(|_, v| u64::from(*v) % 5 != kill);
+            t.retain(|_, v| u64::from(v) % 5 != kill);
+            keys.retain(|k| m.contains_key(k));
+            refill(&mut t, &mut m, &mut keys, &mut next, POP);
+        } else {
+            let slot = (r >> 8) as usize % keys.len();
+            let k = keys[slot];
+            let v = m.remove(&k).expect("live key");
+            assert_eq!(t.remove(&k), Some(v), "step {step}");
+            assert_eq!(t.get(&k), None, "step {step}: removed key still found");
+            // Re-insert under the same key half the time (the node's tuple
+            // survived the swap), under a fresh one otherwise.
+            let k2 = if r & (1 << 40) == 0 {
+                k
+            } else {
+                let fresh = K2(next % 211, next / 211);
+                next += 1;
+                fresh
+            };
+            assert_eq!(t.get_or_insert_with(k2, || v), v, "step {step}");
+            m.insert(k2, v);
+            keys[slot] = k2;
         }
         assert_eq!(t.len(), m.len(), "step {step}: len drift");
+        for (k, v) in &m {
+            assert_eq!(t.peek(k), Some(*v), "step {step}: entry {k:?} lost");
+        }
+        assert_eq!(
+            t.stats().resizes,
+            fit_resizes,
+            "step {step}: churn over a stable population grew the table"
+        );
     }
-    for (k, v) in &m {
-        assert_eq!(t.get(k), Some(*v), "entry {k:?} lost");
-    }
-    // A pure deletion burst (no inserts to recycle tombstones) must cross
-    // the sweep threshold: fill the whole key universe, then drain it.
-    for a in 0..29u32 {
-        for b in 0..17u32 {
-            let k = K2(a, b);
+}
+
+/// A GC sweep at every kill density — nothing, a few, an eighth, half,
+/// most, everything — leaves exactly the survivors, each reachable, and
+/// the table keeps working as a map afterwards (covers the shrink step and
+/// the whole-table repair).
+#[test]
+fn open_table_retain_at_every_density_matches_model() {
+    for (round, per_64) in [0u64, 1, 8, 32, 56, 64].into_iter().enumerate() {
+        let mut rng = SplitMix(0xABCD + round as u64);
+        let mut t: OpenTable<K2> = OpenTable::new(4);
+        let mut m: HashMap<K2, u32> = HashMap::new();
+        for v in 0..3000u32 {
+            let r = rng.next();
+            let k = K2((r % 1009) as u32, ((r >> 16) % 1013) as u32);
             if let std::collections::hash_map::Entry::Vacant(e) = m.entry(k) {
-                t.insert(k, next_val);
-                e.insert(next_val);
-                next_val += 1;
+                t.insert(k, v);
+                e.insert(v);
             }
         }
+        let dies = |v: u32| u64::from(v.wrapping_mul(2_654_435_761) >> 26) < per_64;
+        m.retain(|_, v| !dies(*v));
+        t.retain(|_, v| !dies(v));
+        assert_eq!(t.len(), m.len(), "density {per_64}/64");
+        for (k, v) in &m {
+            assert_eq!(t.get(k), Some(*v), "density {per_64}/64: {k:?} lost");
+        }
+        let mut seen = 0;
+        t.for_each(|k, v| {
+            assert_eq!(m.get(k), Some(&v), "density {per_64}/64: dead {k:?} kept");
+            seen += 1;
+        });
+        assert_eq!(seen, m.len());
+        // The swept table is an ordinary map again.
+        for v in 5000..5500u32 {
+            let k = K2(v, v);
+            assert_eq!(t.get_or_insert_with(k, || v), v);
+            m.insert(k, v);
+        }
+        let gone: Vec<K2> = m.keys().copied().step_by(3).collect();
+        for k in gone {
+            assert_eq!(t.remove(&k), m.remove(&k), "density {per_64}/64");
+        }
+        assert_eq!(t.len(), m.len());
+        for (k, v) in &m {
+            assert_eq!(t.get(k), Some(*v), "density {per_64}/64: {k:?} lost");
+        }
     }
-    let keys: Vec<K2> = m.keys().copied().collect();
-    for k in keys {
-        assert_eq!(t.remove(&k), m.remove(&k));
-    }
-    assert!(t.is_empty());
-    assert!(
-        t.stats().batched_repairs > 0,
-        "a full drain in the small regime must trigger the batched sweep"
-    );
 }
 
 /// Concurrent-insert model check of the sharded table: racing threads
@@ -251,32 +318,6 @@ fn sharded_table_concurrent_inserts_match_reference_model() {
         assert_eq!(seen, m.len(), "threads {threads}");
         let occ: usize = t.shard_stats().iter().map(|s| s.len).sum();
         assert_eq!(occ, m.len(), "threads {threads}: shard occupancy drift");
-    }
-}
-
-/// The chained table honours the same model (regression cover for the
-/// `chained_tables` ablation path).
-#[test]
-fn bucket_table_matches_reference_model() {
-    let mut rng = SplitMix(0x5EED);
-    let mut t: BucketTable<K2> = BucketTable::new(4);
-    let mut m: HashMap<K2, u32> = HashMap::new();
-    let mut next_val = 0u32;
-    for _ in 0..30_000 {
-        let r = rng.next();
-        let k = K2((r % 211) as u32, ((r >> 9) % 89) as u32);
-        match r % 4 {
-            0 | 1 => {
-                if let std::collections::hash_map::Entry::Vacant(e) = m.entry(k) {
-                    t.insert(k, next_val);
-                    e.insert(next_val);
-                    next_val += 1;
-                }
-            }
-            2 => assert_eq!(t.get(&k), m.get(&k).copied()),
-            _ => assert_eq!(t.remove(&k), m.remove(&k)),
-        }
-        assert_eq!(t.len(), m.len());
     }
 }
 

@@ -5,7 +5,7 @@ use crate::edge::Edge;
 use crate::node::{BddKey, Node, TERMINAL_VAR};
 use ddcore::cache::ComputedCache;
 use ddcore::roots::RootSet;
-use ddcore::table::UniqueTable;
+use ddcore::table::OpenTable;
 
 /// Counters exposed for the benchmark harness.
 #[derive(Debug, Clone, Copy, Default)]
@@ -74,7 +74,7 @@ pub struct Robdd {
     pub(crate) nodes: Vec<Node>,
     free: Vec<u32>,
     /// One subtable per *variable* (indices never move during reordering).
-    pub(crate) subtables: Vec<UniqueTable<BddKey>>,
+    pub(crate) subtables: Vec<OpenTable<BddKey>>,
     /// `var_at_pos[p]` = variable at top-based order position `p`.
     pub(crate) var_at_pos: Vec<u32>,
     /// Inverse permutation.
@@ -113,7 +113,7 @@ impl Robdd {
         Robdd {
             nodes: vec![Node::terminal()],
             free: Vec::new(),
-            subtables: (0..num_vars).map(|_| UniqueTable::new(64)).collect(),
+            subtables: (0..num_vars).map(|_| OpenTable::new(64)).collect(),
             var_at_pos: (0..num_vars as u32).collect(),
             pos_of_var: (0..num_vars as u32).collect(),
             cache: ComputedCache::default(),
@@ -201,7 +201,7 @@ impl Robdd {
     /// Total stored nodes (excluding the sink).
     #[must_use]
     pub fn live_nodes(&self) -> usize {
-        self.subtables.iter().map(UniqueTable::len).sum()
+        self.subtables.iter().map(OpenTable::len).sum()
     }
 
     /// Aggregate unique-table statistics summed over all variable
@@ -274,7 +274,6 @@ impl Robdd {
         m.counter("table.hits", t.hits);
         m.counter("table.resizes", t.resizes);
         m.counter("table.rearrangements", t.rearrangements);
-        m.counter("table.tombstone_repairs", t.batched_repairs);
         m.counter("gc.runs", s.gc_runs);
         m.counter("gc.nodes_freed", s.nodes_freed);
         m.counter("gc.latch_firings", self.gc_latch.firings());
